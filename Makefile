@@ -61,10 +61,11 @@ conform:
 	$(GO) test ./internal/baseline/... -run 'TestConform|TestClosedForm|TestDegenerate|TestSystolic'
 
 # Tier 2: race detector over the concurrent sweep engine (and the packages
-# it drives), the parallel execution engine (tensor row fan-out, the
-# row-parallel reference executor, the group-parallel functional executor),
-# and the serving layer (session cache, micro-batcher, admission queue,
-# drain — including the mixed-session panic/drain stress test). The bench
+# it drives), the parallel execution engine (tensor row fan-out and the
+# row-parallel gnn executor every inference runs on, whose behaviour tests
+# live in internal/core), and the serving layer (session cache,
+# micro-batcher, admission queue, drain — including the mixed-session
+# panic/drain stress test). The bench
 # tests shrink their heaviest sweeps under -race (see
 # internal/bench/race_on.go) to keep this tractable. -timeout bounds a
 # deadlocked cancellation path instead of hanging CI.

@@ -93,10 +93,17 @@ func TestConfigFromJSONRejects(t *testing.T) {
 		`{"unknown_field": 3}`, // typo protection
 		`{"rows": "sixty"}`,    // wrong type
 		`not json`,             // malformed
+		// Precision belongs to the model, not the accelerator: the
+		// field never changed a simulated cycle and is gone.
+		`{"precision": "int8"}`,
 	}
 	for _, in := range cases {
 		if _, err := ConfigFromJSON(strings.NewReader(in)); err == nil {
 			t.Fatalf("input %q should fail", in)
 		}
+	}
+	_, err := ConfigFromJSON(strings.NewReader(`{"precision": "fp32"}`))
+	if err == nil || !strings.Contains(err.Error(), `unknown field "precision"`) {
+		t.Fatalf("precision field: err = %v, want an unknown-field rejection", err)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"scale/internal/fault"
@@ -11,77 +12,107 @@ import (
 	"scale/internal/tensor"
 )
 
-func forwardFixture(t *testing.T) (*SCALE, *gnn.Model, *graph.Graph, *tensor.Matrix) {
+// The executor behaviour tests below pin the gnn executor every inference
+// path runs on; the dataflow proof (SCALE.Forward) is pinned against it in
+// functional_test.go.
+
+func forwardFixture(t *testing.T) (*gnn.Model, *graph.Graph, *tensor.Matrix) {
 	t.Helper()
-	s, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	g := graph.CommunityGraph(96, 4, 3, 7)
 	m, err := gnn.NewModel("gcn", []int{8, 4, 2}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := tensor.RandomMatrix(randNew(3), g.NumVertices(), 8, 1)
-	return s, m, g, x
+	return m, g, x
 }
 
-// TestForwardContextCancelled proves a cancelled forward pass stops at a
-// scheduling-batch boundary with the context's error, layer-attributed.
+// TestForwardContextCancelled proves a cancelled forward pass stops with the
+// context's error, layer-attributed — both at a layer boundary and inside a
+// layer, within one block of rows of the cancellation.
 func TestForwardContextCancelled(t *testing.T) {
-	s, m, g, x := forwardFixture(t)
+	m, g, x := forwardFixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.ForwardContext(ctx, m, g, x, 2); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	_, err := gnn.ForwardContext(ctx, m, g, x, 2)
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "layer 0") {
+		t.Fatalf("err = %v, want context.Canceled attributed to layer 0", err)
+	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	edges := 0
+	cancelling := &gnn.Model{Layers: []gnn.Layer{cancelLayer{Layer: m.Layers[0], onEdge: func() { edges++; cancel() }}}}
+	_, err = gnn.ForwardContext(ctx, cancelling, g, x, 1)
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "layer 0") {
+		t.Fatalf("mid-layer: err = %v, want context.Canceled attributed to layer 0", err)
+	}
+	if edges >= g.NumEdges() {
+		t.Fatalf("mid-layer cancellation ran all %d edges", edges)
 	}
 }
 
 // TestForwardContextMatchesForward pins that the context path is the
 // identity when uncancelled: bit-identical outputs.
 func TestForwardContextMatchesForward(t *testing.T) {
-	s, m, g, x := forwardFixture(t)
-	want, err := s.Forward(m, g, x)
+	m, g, x := forwardFixture(t)
+	want, err := gnn.Forward(m, g, x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.ForwardContext(context.Background(), m, g, x, 3)
+	got, err := gnn.ForwardContext(context.Background(), m, g, x, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for li := range want {
-		for i := range want[li].Data {
-			if got[li].Data[i] != want[li].Data[i] {
-				t.Fatalf("layer %d element %d: %v != %v", li, i, got[li].Data[i], want[li].Data[i])
-			}
+		if d := got[li].BitDiffs(want[li]); d != 0 {
+			t.Fatalf("layer %d: %d elements differ", li, d)
 		}
 	}
 }
 
 // TestForwardShapeErrorsAreTyped pins the ErrBadShape class on mismatched
-// inputs.
+// inputs, for the executor and the dataflow proof alike.
 func TestForwardShapeErrorsAreTyped(t *testing.T) {
-	s, m, g, _ := forwardFixture(t)
-	bad := tensor.NewMatrix(g.NumVertices()+1, 8)
-	if _, err := s.Forward(m, g, bad); !errors.Is(err, fault.ErrBadShape) {
-		t.Errorf("row mismatch: err = %v, want ErrBadShape", err)
-	}
-	bad = tensor.NewMatrix(g.NumVertices(), 9)
-	if _, err := s.Forward(m, g, bad); !errors.Is(err, fault.ErrBadShape) {
-		t.Errorf("col mismatch: err = %v, want ErrBadShape", err)
+	m, g, _ := forwardFixture(t)
+	s := MustNew(DefaultConfig())
+	for _, bad := range []*tensor.Matrix{
+		tensor.NewMatrix(g.NumVertices()+1, 8), // row mismatch
+		tensor.NewMatrix(g.NumVertices(), 9),   // col mismatch
+	} {
+		if _, err := gnn.Forward(m, g, bad); !errors.Is(err, fault.ErrBadShape) {
+			t.Errorf("executor, %v: err = %v, want ErrBadShape", bad, err)
+		}
+		if _, err := s.Forward(m, g, bad); !errors.Is(err, fault.ErrBadShape) {
+			t.Errorf("dataflow, %v: err = %v, want ErrBadShape", bad, err)
+		}
 	}
 }
 
 // TestForwardContainsWorkerPanics proves a panic inside a worker's kernel
 // chain surfaces as a typed per-layer error instead of killing the process.
 func TestForwardContainsWorkerPanics(t *testing.T) {
-	s, _, g, x := forwardFixture(t)
+	_, g, x := forwardFixture(t)
 	broken := &gnn.Model{ModelName: "broken", Layers: []gnn.Layer{panicLayer{}}}
-	_, err := s.Forward(broken, g, x)
-	var pe *fault.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want wrapped *fault.PanicError", err)
+	for _, workers := range []int{1, 2} {
+		_, err := gnn.ForwardParallel(broken, g, x, workers)
+		var pe *fault.PanicError
+		if !errors.As(err, &pe) || !strings.Contains(err.Error(), "layer 0") {
+			t.Fatalf("workers=%d: err = %v, want layer-attributed *fault.PanicError", workers, err)
+		}
 	}
+}
+
+// cancelLayer wraps a real layer and calls onEdge before every edge, so a
+// test can cancel the context from inside the hot loop.
+type cancelLayer struct {
+	gnn.Layer
+	onEdge func()
+}
+
+func (l cancelLayer) AccumulateEdge(acc, src, dst, msg []float32, ctx gnn.EdgeContext) {
+	l.onEdge()
+	l.Layer.AccumulateEdge(acc, src, dst, msg, ctx)
 }
 
 // panicLayer is a minimal layer whose aggregation kernel panics, standing in

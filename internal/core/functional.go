@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"scale/internal/fault"
@@ -11,161 +10,31 @@ import (
 	"scale/internal/tensor"
 )
 
-// fwdWorker owns one executor goroutine's scratch: the buf backing slice is
-// viewed as msg | acc | update-scratch windows sized per layer, and err
-// carries the first failure the worker hit (collected after the per-batch
-// barrier).
-type fwdWorker struct {
-	buf               []float32
-	msg, acc, scratch []float32
-	qs                []int8
-	acc32             []int32
-	qswar             []uint64
-	err               error
-}
-
-// fwdState is the recycled per-call state of the functional executor. It is
-// pooled on the SCALE value so repeated Forward calls reuse the seen table,
-// the batch list, the compact schedulers (one per ring geometry the model's
-// layers select), and every worker's scratch — the steady-state hot path
-// allocates only the per-layer output matrices.
-type fwdState struct {
-	seen       []bool
-	degrees    []int32
-	verts      []int32
-	batches    [][]int32
-	schedulers map[sched.Config]*sched.Scheduler
-	workers    []fwdWorker
-	// qpsrc holds the per-layer quantized source features on the int8
-	// tier (QAggregator layers only) and qcoefs the per-row source
-	// coefficients folded into them; recycled across layers and calls.
-	qpsrc  *tensor.QSumMatrix
-	qcoefs []float32
-}
-
-func (st *fwdState) scheduler(cfg sched.Config) (*sched.Scheduler, error) {
-	if st.schedulers == nil {
-		st.schedulers = make(map[sched.Config]*sched.Scheduler)
-	}
-	if s, ok := st.schedulers[cfg]; ok {
-		return s, nil
-	}
-	s, err := sched.NewScheduler(cfg, true)
-	if err != nil {
-		return nil, err
-	}
-	st.schedulers[cfg] = s
-	return s, nil
-}
-
-// batchesFor returns the vertex batches for n vertices at batch size b,
-// reusing the state's identity permutation and batch list.
-func (st *fwdState) batchesFor(n, b int) [][]int32 {
-	if cap(st.verts) < n {
-		st.verts = make([]int32, n)
-		for i := range st.verts {
-			st.verts[i] = int32(i)
-		}
-	}
-	st.batches = st.batches[:0]
-	for start := 0; start < n; start += b {
-		end := start + b
-		if end > n {
-			end = n
-		}
-		st.batches = append(st.batches, st.verts[start:end])
-	}
-	return st.batches
-}
-
-// sizeWorkers (re)shapes nw workers' scratch windows for a layer's
-// accumulator width, update-scratch need, and (int8 tier) quantization and
-// integer-accumulator scratch needs.
-func (st *fwdState) sizeWorkers(nw, width, updateScratch, qScratch, qAccWidth int) []fwdWorker {
-	for len(st.workers) < nw {
-		st.workers = append(st.workers, fwdWorker{})
-	}
-	need := 2*width + updateScratch
-	ws := st.workers[:nw]
-	for i := range ws {
-		w := &ws[i]
-		if cap(w.buf) < need {
-			w.buf = make([]float32, need)
-		}
-		buf := w.buf[:need]
-		w.msg = buf[:width]
-		w.acc = buf[width : 2*width]
-		w.scratch = buf[2*width:]
-		if cap(w.qs) < qScratch {
-			w.qs = make([]int8, qScratch)
-		}
-		w.qs = w.qs[:qScratch]
-		if cap(w.acc32) < qAccWidth {
-			w.acc32 = make([]int32, qAccWidth)
-		}
-		w.acc32 = w.acc32[:qAccWidth]
-		if cap(w.qswar) < qAccWidth/4 {
-			w.qswar = make([]uint64, qAccWidth/4)
-		}
-		w.qswar = w.qswar[:qAccWidth/4]
-		w.err = nil
-	}
-	return ws
-}
-
-// Forward executes model m over a materialized graph following exactly the
-// schedule and mapping the timing engine models: vertices are batched,
-// scheduled into tasks and task groups (Algorithm 1), each task's
-// aggregations run as linear reduce chains in mapping order, finalized
-// results feed the update engines, and outputs are written back.
+// Forward is the serial fp32 dataflow proof: it executes model m over a
+// materialized graph following exactly the schedule and mapping the timing
+// engine models — vertices are batched, scheduled into tasks and task
+// groups (Algorithm 1), each task's aggregations run as linear reduce
+// chains in mapping order, and finalized results feed the update engines.
 //
-// This is the functional half of the simulator: its outputs are compared
-// against the golden gnn.Forward reference in the test suite, which pins the
-// dataflow's correctness (chained reduction over scheduled task order is
-// equivalent to Eq. 1-2 up to float reassociation). Task groups (rings) are
-// independent, so execution fans them across GOMAXPROCS workers — see
-// ForwardParallel for the bit-identity guarantee.
+// The schedule decides when each reduce chain runs, never what it computes:
+// every vertex folds its in-edges in CSR order whichever ring runs it, so
+// the output is bit-identical to the gnn executor that serves inference.
+// The core tests and cmd/scale-verify pin that equality; nothing serves
+// through this path.
 func (s *SCALE) Forward(m *gnn.Model, g *graph.Graph, x *tensor.Matrix) ([]*tensor.Matrix, error) {
-	return s.ForwardParallel(m, g, x, 0)
-}
-
-// ForwardParallel is Forward with an explicit worker budget (< 1 selects
-// GOMAXPROCS, 1 runs serially on the calling goroutine). Each scheduling
-// batch is a barrier — the compact scheduler's group buffers are recycled
-// per batch — and within a batch workers claim whole task groups. Every
-// vertex belongs to exactly one group and its reduce chain folds in-edges in
-// the same mapping order regardless of which worker runs it, so the output
-// is bit-identical for every worker count.
-func (s *SCALE) ForwardParallel(m *gnn.Model, g *graph.Graph, x *tensor.Matrix, workers int) ([]*tensor.Matrix, error) {
-	return s.ForwardContext(context.Background(), m, g, x, workers)
-}
-
-// ForwardContext is ForwardParallel under a context: cancellation is
-// honoured at every scheduling-batch boundary (each batch is already a
-// barrier, so no partial-batch state can leak), and a panic inside a worker's
-// kernel chain is contained into a typed per-layer *fault.PanicError instead
-// of tearing down the process. Outputs remain bit-identical to Forward's for
-// any worker count when the call runs to completion.
-func (s *SCALE) ForwardContext(ctx context.Context, m *gnn.Model, g *graph.Graph, x *tensor.Matrix, workers int) ([]*tensor.Matrix, error) {
 	if x.Rows != g.NumVertices() {
 		return nil, fmt.Errorf("core: features have %d rows, graph has %d vertices: %w", x.Rows, g.NumVertices(), fault.ErrBadShape)
 	}
 	if x.Cols != m.InDim() {
 		return nil, fmt.Errorf("core: features have %d cols, model wants %d: %w", x.Cols, m.InDim(), fault.ErrBadShape)
 	}
-	st, _ := s.fwdPool.Get().(*fwdState)
-	if st == nil {
-		st = &fwdState{}
-	}
-	defer s.fwdPool.Put(st)
-
-	degrees := st.localDegrees(g)
+	degrees := g.Degrees()
 	h := x
 	outs := make([]*tensor.Matrix, 0, len(m.Layers))
 	for li, layer := range m.Layers {
-		out, err := s.forwardLayer(ctx, li, layer, g, degrees, h, st, workers)
+		out, err := s.forwardLayer(layer, g, degrees, h)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: layer %d: %w", li, err)
 		}
 		outs = append(outs, out)
 		h = out
@@ -173,253 +42,65 @@ func (s *SCALE) ForwardContext(ctx context.Context, m *gnn.Model, g *graph.Graph
 	return outs, nil
 }
 
-// localDegrees fills the state's recycled degree slice from g's in-degrees.
-func (st *fwdState) localDegrees(g *graph.Graph) []int32 {
-	n := g.NumVertices()
-	if cap(st.degrees) < n {
-		st.degrees = make([]int32, n)
-	}
-	degrees := st.degrees[:n]
-	for v := range degrees {
-		degrees[v] = int32(g.InDegree(v))
-	}
-	return degrees
-}
-
-// ForwardLayerContext executes exactly one layer of m — m.Layers[li] — over a
-// materialized graph, with an optional per-vertex degree override. It is the
-// building block of sharded serving (internal/shard): a shard worker holds
-// the subgraph induced by its owned vertices plus halo copies of their remote
-// in-neighbors, runs one layer per front-tier call, and exchanges halo rows
-// between layers.
-//
-// degrees supplies the structural degree of each vertex as seen by message
-// functions (EdgeContext.SrcDeg) and by the int8 tier's per-source
-// coefficients. On a shard-local subgraph a halo vertex has no local
-// in-edges, so its local in-degree is 0 even though message functions must
-// see its global degree — passing the global degrees restores exactly the
-// operand stream of an unsharded pass, which is what makes sharded fp32
-// output bit-identical to single-process execution. nil selects g's own
-// in-degrees, making this equivalent to one step of ForwardContext.
-func (s *SCALE) ForwardLayerContext(ctx context.Context, m *gnn.Model, li int, g *graph.Graph, x *tensor.Matrix, degrees []int32, workers int) (*tensor.Matrix, error) {
-	if li < 0 || li >= len(m.Layers) {
-		return nil, fmt.Errorf("core: layer %d outside model of %d layers: %w", li, len(m.Layers), fault.ErrBadConfig)
-	}
-	layer := m.Layers[li]
-	if x.Rows != g.NumVertices() {
-		return nil, fmt.Errorf("core: features have %d rows, graph has %d vertices: %w", x.Rows, g.NumVertices(), fault.ErrBadShape)
-	}
-	if x.Cols != layer.InDim() {
-		return nil, fmt.Errorf("core: features have %d cols, layer %d wants %d: %w", x.Cols, li, layer.InDim(), fault.ErrBadShape)
-	}
-	if degrees != nil && len(degrees) != g.NumVertices() {
-		return nil, fmt.Errorf("core: %d degree overrides for %d vertices: %w", len(degrees), g.NumVertices(), fault.ErrBadShape)
-	}
-	st, _ := s.fwdPool.Get().(*fwdState)
-	if st == nil {
-		st = &fwdState{}
-	}
-	defer s.fwdPool.Put(st)
-	if degrees == nil {
-		degrees = st.localDegrees(g)
-	}
-	return s.forwardLayer(ctx, li, layer, g, degrees, x, st, workers)
-}
-
-func (s *SCALE) forwardLayer(ctx context.Context, li int, layer gnn.Layer, g *graph.Graph, degrees []int32, h *tensor.Matrix, st *fwdState, workers int) (*tensor.Matrix, error) {
+func (s *SCALE) forwardLayer(layer gnn.Layer, g *graph.Graph, degrees []int32, h *tensor.Matrix) (*tensor.Matrix, error) {
 	cfg := s.cfg
 	w := layer.Work()
 	ringSize := cfg.RingSizeFor(w.WeightBytes, w.InDim, w.OutDim)
 	nRings := cfg.NumRings(ringSize)
-	numPEs := nRings * ringSize
-	batch := cfg.EffectiveBatchSize()
-
-	// The int8 tier: layers exposing quantized kernels get their weights
-	// quantized once (idempotent per layer) and their prepare/update paths
-	// dispatched to the int8 kernels. Layers without quantized forms (e.g.
-	// custom specs) silently stay on float32 — precision is a per-layer
-	// capability, not a model-wide requirement.
-	var qupd gnn.QKernels
-	if cfg.EffectivePrecision() == PrecisionInt8 {
-		if qk, ok := layer.(gnn.QKernels); ok {
-			if err := qk.QuantizeWeights(); err != nil {
-				return nil, fmt.Errorf("core: layer %d: quantizing weights: %w", li, err)
-			}
-			qupd = qk
-		}
+	scheduler, err := sched.NewScheduler(
+		sched.Config{NumTasks: nRings * ringSize, NumGroups: nRings, Policy: cfg.Policy}, true)
+	if err != nil {
+		return nil, err
 	}
 
-	psrc, pdst := gnn.PrepareLayerPrecision(layer, h, workers, qupd != nil)
+	psrc, pdst := gnn.PrepareLayer(layer, h, 1)
 	kind := layer.Reduce()
-	width := kind.AccWidth(layer.MsgDim())
+	msgDim := layer.MsgDim()
+	width := kind.AccWidth(msgDim)
+	buf := make([]float32, 2*width+layer.UpdateScratch())
+	msg, acc, scratch := buf[:width], buf[width:2*width], buf[2*width:]
 	out := tensor.NewMatrix(h.Rows, layer.OutDim())
 
-	// Separable-coefficient layers additionally run their reduce chains in
-	// integer arithmetic: each source row is pre-multiplied by its QSrcCoef
-	// and quantized under one shared scale (once per layer, 4x less memory
-	// traffic per edge visit), chains sum raw int8 rows in exact int32, and
-	// each vertex dequantizes its chain once with gscale·QDstCoef before
-	// the usual finalize/update.
-	var qagg gnn.QAggregator
-	var qpsrc *tensor.QSumMatrix
-	if qupd != nil {
-		if qa, ok := layer.(gnn.QAggregator); ok && psrc.Rows == g.NumVertices() {
-			if st.qpsrc == nil {
-				st.qpsrc = tensor.NewQSumMatrix(psrc.Rows, psrc.Cols)
-			}
-			st.qpsrc.Resize(psrc.Rows, psrc.Cols)
-			if cap(st.qcoefs) < psrc.Rows {
-				st.qcoefs = make([]float32, psrc.Rows)
-			}
-			coefs := st.qcoefs[:psrc.Rows]
-			for v := range coefs {
-				coefs[v] = qa.QSrcCoef(int(degrees[v]))
-			}
-			if err := tensor.ParallelQuantizeScaledInto(st.qpsrc, psrc, coefs, workers); err != nil {
-				return nil, fmt.Errorf("core: layer %d: quantizing features: %w", li, err)
-			}
-			qagg, qpsrc = qa, st.qpsrc
-		}
-	}
-
-	// The functional executor walks per-vertex work, so it needs
-	// materialized vertex ids; the scheduler is reused across batches and
-	// layers sharing a ring geometry (groups are consumed within each
-	// batch iteration, before the next Schedule call recycles them).
-	scheduler, err := st.scheduler(
-		sched.Config{NumTasks: numPEs, NumGroups: nRings, Policy: cfg.Policy})
-	if err != nil {
-		return nil, fmt.Errorf("core: layer %d: %w", li, err)
-	}
-	if cap(st.seen) < g.NumVertices() {
-		st.seen = make([]bool, g.NumVertices())
-	}
-	seen := st.seen[:g.NumVertices()]
-	for i := range seen {
-		seen[i] = false
-	}
-	nw := tensor.RowWorkers(nRings, workers)
-	qScratch, qAccWidth := 0, 0
-	if qupd != nil {
-		qScratch = qupd.QUpdateScratch()
-	}
-	if qagg != nil {
-		qAccWidth = qpsrc.Stride // padded, so FlushChain drains whole chunks
-	}
-	ws := st.sizeWorkers(nw, width, layer.UpdateScratch(), qScratch, qAccWidth)
-
-	// One closure per layer: `groups` rebinds per batch. Workers claim
-	// whole groups (rings) — disjoint vertex sets, so out/seen writes
-	// never overlap across workers.
-	var groups []*sched.TaskGroup
-	run := func(wid, lo, hi int) {
-		wk := &ws[wid]
-		defer func() {
-			if v := recover(); v != nil {
-				wk.err = fault.Recovered(v)
-			}
-		}()
-		for gi := lo; gi < hi && wk.err == nil; gi++ {
-			wk.err = runGroup(layer, g, degrees, groups[gi], psrc, pdst, h, out, seen, wk, kind, width, qupd, qagg, qpsrc)
-		}
-	}
-	for _, vb := range st.batchesFor(g.NumVertices(), batch) {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: layer %d: %w", li, err)
-		}
-		groups, err = scheduler.Schedule(degrees, vb)
+	n := g.NumVertices()
+	seen := make([]bool, n)
+	verts := sched.AllVertices(n)
+	batch := cfg.EffectiveBatchSize()
+	for start := 0; start < n; start += batch {
+		groups, err := scheduler.Schedule(degrees, verts[start:min(start+batch, n)])
 		if err != nil {
-			return nil, fmt.Errorf("core: layer %d: %w", li, err)
+			return nil, err
 		}
-		tensor.ParallelRows(len(groups), nw, run)
-		for i := range ws {
-			if ws[i].err != nil {
-				return nil, fmt.Errorf("core: layer %d: %w", li, ws[i].err)
+		// Rings run in mapping order; within a ring, each task's vertices
+		// stream their in-edges hop by hop through the reduce chain.
+		for _, group := range groups {
+			for _, task := range group.Tasks {
+				for _, v := range task.Vertices {
+					if seen[v] {
+						return nil, fmt.Errorf("vertex %d scheduled twice", v)
+					}
+					seen[v] = true
+					nbrs := g.InNeighbors(int(v))
+					for i := range acc {
+						acc[i] = 0
+					}
+					var pdstRow []float32
+					if pdst != nil {
+						pdstRow = pdst.Row(int(v))
+					}
+					for _, u := range nbrs {
+						ctx := gnn.EdgeContext{Src: int(u), Dst: int(v), SrcDeg: int(degrees[u]), DstDeg: len(nbrs)}
+						layer.AccumulateEdge(acc, psrc.Row(int(u)), pdstRow, msg, ctx)
+					}
+					agg := kind.Finalize(acc, msgDim, len(nbrs))
+					layer.UpdateInto(out.Row(int(v)), h.Row(int(v)), agg, scratch)
+				}
 			}
 		}
 	}
 	for v, ok := range seen {
 		if !ok {
-			return nil, fmt.Errorf("core: layer %d: vertex %d never scheduled", li, v)
+			return nil, fmt.Errorf("vertex %d never scheduled", v)
 		}
 	}
 	return out, nil
-}
-
-// runGroup executes one task group (ring): every vertex's reduce chain folds
-// its in-edges hop by hop via the layer's fused AccumulateEdge kernel, then
-// the finalized aggregation feeds UpdateInto directly into the output row.
-// All scratch belongs to the calling worker, so concurrent groups share only
-// read-only inputs and their disjoint output rows.
-// On the int8 tier (qupd non-nil) updates dispatch to QUpdateInto, and —
-// for separable-coefficient layers (qagg non-nil) — the reduce chain sums
-// biased quantized source rows in the packed SWAR accumulator (flushed to
-// int32 every ChainBlockEdges), dequantizing once per vertex with
-// Scale·QDstCoef. Integer sums are order-independent, so int8 outputs keep
-// the same worker-count bit-identity guarantee as float32.
-func runGroup(layer gnn.Layer, g *graph.Graph, degrees []int32, group *sched.TaskGroup, psrc, pdst, h, out *tensor.Matrix, seen []bool, wk *fwdWorker, kind gnn.ReduceKind, width int, qupd gnn.QKernels, qagg gnn.QAggregator, qpsrc *tensor.QSumMatrix) error {
-	msgDim := layer.MsgDim()
-	for _, task := range group.Tasks {
-		for _, v := range task.Vertices {
-			if seen[v] {
-				return fmt.Errorf("vertex %d scheduled twice", v)
-			}
-			seen[v] = true
-			nbrs := g.InNeighbors(int(v))
-			acc := wk.acc
-			if qagg != nil {
-				// Integer reduce chain: the source coefficient is
-				// already folded into the quantized rows, the
-				// destination coefficient folds into the single
-				// dequantizing multiply below.
-				acc32 := wk.acc32
-				for i := range acc32 {
-					acc32[i] = 0
-				}
-				swar := wk.qswar
-				block := 0
-				for _, u := range nbrs {
-					tensor.AccRowChain(swar, qpsrc.Row(int(u)))
-					block++
-					if block == tensor.ChainBlockEdges {
-						tensor.FlushChain(acc32, swar, block)
-						block = 0
-					}
-				}
-				tensor.FlushChain(acc32, swar, block)
-				c := qpsrc.Scale * qagg.QDstCoef(len(nbrs))
-				for i := range acc {
-					acc[i] = c * float32(acc32[i])
-				}
-			} else {
-				for i := range acc {
-					acc[i] = 0
-				}
-				var pdstRow []float32
-				if pdst != nil {
-					pdstRow = pdst.Row(int(v))
-				}
-				// The reduce chain: sources stream through the ring
-				// in mapping order, accumulating hop by hop.
-				// SrcDeg comes from the degrees slice, not g.InDegree:
-				// on an unsharded graph the two agree, and on a shard's
-				// subgraph the slice carries global degrees so halo
-				// sources normalize exactly as they would unsharded.
-				for _, u := range nbrs {
-					ctx := gnn.EdgeContext{
-						Src: int(u), Dst: int(v),
-						SrcDeg: int(degrees[u]), DstDeg: len(nbrs),
-					}
-					layer.AccumulateEdge(acc, psrc.Row(int(u)), pdstRow, wk.msg, ctx)
-				}
-			}
-			agg := kind.Finalize(acc, msgDim, len(nbrs))
-			if qupd != nil {
-				qupd.QUpdateInto(out.Row(int(v)), h.Row(int(v)), agg, wk.scratch, wk.qs)
-			} else {
-				layer.UpdateInto(out.Row(int(v)), h.Row(int(v)), agg, wk.scratch)
-			}
-		}
-	}
-	return nil
 }

@@ -11,8 +11,9 @@ import (
 
 // The central functional-correctness check: the SCALE dataflow (scheduled
 // chained reductions + per-vertex updates) must reproduce the golden
-// reference forward pass for every model, within float reassociation
-// tolerance.
+// reference forward pass — the executor every inference runs on — bit for
+// bit, for every model. The schedule decides when a reduce chain runs,
+// never the order it folds its in-edges.
 func TestForwardMatchesReferenceAllModels(t *testing.T) {
 	g := graph.ErdosRenyi(300, 1500, 3)
 	s := MustNew(DefaultConfig())
@@ -28,14 +29,14 @@ func TestForwardMatchesReferenceAllModels(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for li := range want {
-			if !want[li].AllClose(got[li], 1e-3, 1e-4) {
-				t.Errorf("%s layer %d: max diff %g", name, li, want[li].MaxAbsDiff(got[li]))
+			if d := want[li].BitDiffs(got[li]); d != 0 {
+				t.Errorf("%s layer %d: %d elements differ (max diff %g)", name, li, d, want[li].MaxAbsDiff(got[li]))
 			}
 		}
 	}
 }
 
-// The dataflow must be correct for every scheduling policy (the mapping
+// The dataflow must be exact for every scheduling policy (the mapping
 // changes, the math must not).
 func TestForwardPolicyInvariant(t *testing.T) {
 	g := graph.PreferentialAttachment(200, 3, 5)
@@ -52,13 +53,13 @@ func TestForwardPolicyInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !want[0].AllClose(got[0], 1e-3, 1e-4) {
-			t.Errorf("policy %d: dataflow result diverged", pol)
+		if d := want[0].BitDiffs(got[0]); d != 0 {
+			t.Errorf("policy %d: dataflow result diverged in %d elements", pol, d)
 		}
 	}
 }
 
-// Batch size must not change results.
+// Batch size must not change a single bit of the result.
 func TestForwardBatchInvariant(t *testing.T) {
 	g := graph.CitationLike(400, 1600, 9)
 	m := gnn.MustModel("gcn", []int{12, 4}, 7)
@@ -73,8 +74,8 @@ func TestForwardBatchInvariant(t *testing.T) {
 		}
 		if first == nil {
 			first = got[0]
-		} else if !first.AllClose(got[0], 1e-4, 1e-5) {
-			t.Errorf("batch %d changed the result", b)
+		} else if d := first.BitDiffs(got[0]); d != 0 {
+			t.Errorf("batch %d changed %d elements of the result", b, d)
 		}
 	}
 }
@@ -93,8 +94,7 @@ func TestForwardValidation(t *testing.T) {
 
 // Cross-validation of the micro simulator against the functional dataflow:
 // build micro reduce-chain tasks from a real GCN layer's messages and check
-// the ring produces the same aggregated features the functional executor
-// finalizes.
+// the ring produces the same aggregated features the dataflow finalizes.
 func TestMicroAgreesWithFunctionalAggregation(t *testing.T) {
 	g := graph.ErdosRenyi(24, 96, 17)
 	l := gnn.MustModel("gcn", []int{6, 3}, 3).Layers[0]

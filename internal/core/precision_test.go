@@ -8,10 +8,16 @@ import (
 	"scale/internal/graph"
 )
 
-func int8Config() Config {
-	cfg := DefaultConfig()
-	cfg.Precision = PrecisionInt8
-	return cfg
+// int8Model builds the model and materializes its int8 weight form: the
+// executor runs a layer on the int8 kernels exactly when the model holds
+// that form, so precision is a property of the model.
+func int8Model(t *testing.T, name string, dims []int, seed int64) *gnn.Model {
+	t.Helper()
+	m := gnn.MustModel(name, dims, seed)
+	if err := gnn.QuantizeModel(m); err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // The int8 accuracy harness: for every model in the zoo and both graph
@@ -28,20 +34,19 @@ func TestInt8AccuracyHarness(t *testing.T) {
 		graph.ErdosRenyi(300, 1500, 3),
 		graph.RMAT(9, 4000, 7),
 	}
-	ref := MustNew(DefaultConfig())
-	q := MustNew(int8Config())
 	for _, g := range graphs {
 		for _, name := range gnn.AllModelNames() {
 			m := gnn.MustModel(name, []int{24, 12, 5}, 11)
 			x := gnn.RandomFeatures(g, 24, 13)
-			want, err := ref.Forward(m, g, x)
+			want, err := gnn.Forward(m, g, x)
 			if err != nil {
 				t.Fatalf("%s/%s float32: %v", g.Name(), name, err)
 			}
-			got, err := q.Forward(m, g, x)
+			got, err := gnn.Forward(int8Model(t, name, []int{24, 12, 5}, 11), g, x)
 			if err != nil {
 				t.Fatalf("%s/%s int8: %v", g.Name(), name, err)
 			}
+			var total float64
 			for li := range want {
 				var maxRef, maxDiff float64
 				for i, v := range want[li].Data {
@@ -57,68 +62,28 @@ func TestInt8AccuracyHarness(t *testing.T) {
 					t.Errorf("%s/%s layer %d: int8 max abs err %g > %g (max |float32| %g)",
 						g.Name(), name, li, maxDiff, bound, maxRef)
 				}
+				total += maxDiff
+			}
+			if total == 0 {
+				t.Errorf("%s/%s: int8 output equals float32 exactly — the int8 kernels did not run", g.Name(), name)
 			}
 		}
 	}
 }
 
-// The int8 tier keeps the float32 tier's determinism guarantee: the
-// accumulator stays float32 and every vertex's reduce chain folds in mapping
-// order, so serial and group-parallel quantized execution are byte-identical.
+// The int8 tier keeps the float32 tier's determinism guarantee: integer
+// chain sums are exact and every other kernel runs per row, so serial and
+// row-parallel quantized execution are byte-identical.
 func TestInt8ParallelBitIdentical(t *testing.T) {
 	graphs := []*graph.Graph{
 		graph.ErdosRenyi(300, 1500, 3),
 		graph.RMAT(9, 4000, 7),
 	}
-	s := MustNew(int8Config())
 	for _, g := range graphs {
 		for _, name := range gnn.AllModelNames() {
-			m := gnn.MustModel(name, []int{24, 12, 5}, 11)
+			m := int8Model(t, name, []int{24, 12, 5}, 11)
 			x := gnn.RandomFeatures(g, 24, 13)
-			serial, err := s.ForwardParallel(m, g, x, 1)
-			if err != nil {
-				t.Fatalf("%s/%s serial: %v", g.Name(), name, err)
-			}
-			for _, workers := range []int{2, 8} {
-				par, err := s.ForwardParallel(m, g, x, workers)
-				if err != nil {
-					t.Fatalf("%s/%s workers=%d: %v", g.Name(), name, workers, err)
-				}
-				for li := range serial {
-					if !par[li].Equal(serial[li]) {
-						t.Fatalf("%s/%s workers=%d layer %d: int8 output not byte-identical (max |Δ| = %g)",
-							g.Name(), name, workers, li, par[li].MaxAbsDiff(serial[li]))
-					}
-				}
-			}
-		}
-	}
-}
-
-// Quantization is strictly opt-in: a simulator built on the explicit fp32
-// precision is byte-identical to one built on the default config, even after
-// the same model has had quantized weight forms materialized by an int8 run.
-func TestFp32UnchangedByQuantizedTier(t *testing.T) {
-	g := graph.ErdosRenyi(200, 900, 5)
-	m := gnn.MustModel("gcn", []int{16, 8, 4}, 3)
-	x := gnn.RandomFeatures(g, 16, 9)
-	def := MustNew(DefaultConfig())
-	want, err := def.Forward(m, g, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := MustNew(int8Config()).Forward(m, g, x); err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.Precision = PrecisionFP32
-	got, err := MustNew(cfg).Forward(m, g, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for li := range want {
-		if !got[li].Equal(want[li]) {
-			t.Fatalf("layer %d: fp32 output changed after int8 runs", li)
+			assertWorkerInvariant(t, m, g, x, g.Name()+"/"+name+"/int8")
 		}
 	}
 }
@@ -128,42 +93,5 @@ func TestFp32UnchangedByQuantizedTier(t *testing.T) {
 // forward pass allocates only its per-layer outputs plus constant
 // bookkeeping.
 func TestInt8SteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector makes sync.Pool drop cached state by design")
-	}
-	g := graph.ErdosRenyi(2000, 8000, 1)
-	s := MustNew(int8Config())
-	m := gnn.MustModel("gcn", []int{64, 16, 4}, 1)
-	x := gnn.RandomFeatures(g, 64, 2)
-	for i := 0; i < 3; i++ {
-		if _, err := s.ForwardParallel(m, g, x, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := s.ForwardParallel(m, g, x, 1); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 24 {
-		t.Fatalf("steady-state int8 Forward allocates %v per call (budget 24)", allocs)
-	}
-}
-
-// Invalid precision strings are rejected at construction.
-func TestPrecisionValidation(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Precision = "fp64"
-	if _, err := New(cfg); err == nil {
-		t.Fatal("fp64 precision accepted")
-	}
-	for _, s := range []string{"", "fp32", "int8"} {
-		p, err := ParsePrecision(s)
-		if err != nil {
-			t.Fatalf("ParsePrecision(%q): %v", s, err)
-		}
-		if s == "" && p != PrecisionFP32 {
-			t.Fatalf("empty precision resolved to %q", p)
-		}
-	}
+	assertSteadyStateAllocs(t, int8Model(t, "gcn", []int{64, 16, 4}, 1))
 }

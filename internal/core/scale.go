@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"scale/internal/arch"
 	"scale/internal/gnn"
@@ -19,16 +18,12 @@ import (
 //
 // A SCALE value is safe for concurrent use: Run never mutates the receiver —
 // its configuration is copied at construction and all simulation state
-// (schedules, batches, counters) is freshly allocated per call. The
-// functional executor's recycled state lives in a sync.Pool, so concurrent
-// Forward calls each check out their own state.
+// (schedules, batches, counters) is freshly allocated per call, as is the
+// state of the serial dataflow proof (Forward).
 type SCALE struct {
 	cfg Config
 	// Perf is the §IV-B analytical scheduling model.
 	Perf sched.PerfModel
-	// fwdPool recycles fwdState values across Forward calls (see
-	// functional.go); the zero value is ready to use.
-	fwdPool sync.Pool
 }
 
 // New returns a SCALE model with the given configuration.

@@ -9,8 +9,8 @@ import (
 	"scale/internal/sched"
 )
 
-// Soak: randomized cross-validation of the functional dataflow against the
-// golden reference over many (graph, model, config) combinations. Guarded by
+// Soak: randomized bit-exact cross-validation of the dataflow proof against
+// the golden reference over many (graph, model, config) combinations. Guarded by
 // -short; the full sweep runs ~60 configurations.
 func TestSoakFunctionalEquivalence(t *testing.T) {
 	if testing.Short() {
@@ -50,9 +50,9 @@ func TestSoakFunctionalEquivalence(t *testing.T) {
 			t.Fatalf("trial %d (%s on %v): dataflow: %v", trial, name, g, err)
 		}
 		for li := range want {
-			if !want[li].AllClose(got[li], 1e-3, 1e-4) {
-				t.Fatalf("trial %d (%s on %v, policy %v): layer %d diverged by %g",
-					trial, name, g, cfg.Policy, li, want[li].MaxAbsDiff(got[li]))
+			if d := want[li].BitDiffs(got[li]); d != 0 {
+				t.Fatalf("trial %d (%s on %v, policy %v): layer %d: %d elements differ (max diff %g)",
+					trial, name, g, cfg.Policy, li, d, want[li].MaxAbsDiff(got[li]))
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package dyn
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -66,8 +67,8 @@ func benchInfer(b *testing.B, fanout int) {
 			}
 		}
 		h := x
-		for li, l := range model.Layers {
-			h, err = gnn.ForwardLayer(l, gs[li], h)
+		for li := range model.Layers {
+			h, err = gnn.ForwardLayerContext(context.Background(), model, li, gs[li], h, nil, 1)
 			if err != nil {
 				b.Fatal(err)
 			}

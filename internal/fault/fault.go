@@ -8,7 +8,7 @@
 // index violation there is a programming error and bounds-check-friendly
 // code must not carry error returns through per-edge loops. Every layer that
 // runs caller-supplied work on worker goroutines (the bench pool, the sweep
-// suite, the functional executor, the design-space explorer) recovers those
+// suite, the gnn forward executor, the design-space explorer) recovers those
 // panics at its boundary and converts them into a *PanicError, so one bad
 // cell degrades one result instead of killing a multi-hour campaign.
 package fault

@@ -63,16 +63,16 @@ func TestSingleHeadDegeneratesToGAT(t *testing.T) {
 	x := RandomFeatures(g, 8, 7)
 	mh := newMultiHeadGATLayer(9, 8, 6, 1, false) // head seed = 9*31
 	plain := newGATLayer(9*31, 8, 6, false)
-	a, err := ForwardLayer(mh, g, x)
+	a, err := ForwardParallel(&Model{Layers: []Layer{mh}}, g, x, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ForwardLayer(plain, g, x)
+	b, err := ForwardParallel(&Model{Layers: []Layer{plain}}, g, x, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.AllClose(b, 1e-4, 1e-5) {
-		t.Fatalf("1-head multi-head diverged from GAT: max diff %g", a.MaxAbsDiff(b))
+	if !a[0].AllClose(b[0], 1e-4, 1e-5) {
+		t.Fatalf("1-head multi-head diverged from GAT: max diff %g", a[0].MaxAbsDiff(b[0]))
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 
 // Quantized execution tier (DESIGN §4j). Layers that support int8 execution
 // materialize a quantized weight form exactly once per model instance —
-// weights are quantized at session materialization, never per request — and
-// expose int8 kernels the executors dispatch to when the forward pass runs
-// with Precision "int8":
+// weights are quantized at session materialization (QuantizeModel), never
+// per request — and expose int8 kernels the executor dispatches to for
+// every layer that holds that form:
 //
 //   - QKernels is the update-side capability: QUpdateInto replaces the
 //     update GEMVs with int8 GEMVs (quantize the activation row, int32-dot

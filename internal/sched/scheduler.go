@@ -17,7 +17,7 @@ import (
 // edge sums — exactly what the timing engine and the balance metrics consume
 // — and never materialize per-task vertex-id lists. Construct with
 // materialize=true (or use the package-level Schedule function) when the
-// caller walks Task.Vertices, as the functional executor and the
+// caller walks Task.Vertices, as the dataflow proof (core.Forward) and the
 // register-level pipeline do.
 //
 // A Scheduler is NOT safe for concurrent use, and the groups it returns are

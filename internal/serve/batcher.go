@@ -169,10 +169,10 @@ func (b *batcher) run(batch []*pending) {
 
 // joinContexts derives the batch's execution context from its members'. A
 // single-member batch runs directly under that request's context, so its
-// deadline maps straight through core.ForwardContext. A merged batch must
+// deadline maps straight through to the gnn executor. A merged batch must
 // not let one member's deadline cancel its batch-mates, so it runs under a
 // context cancelled only when every member context is done (a fully
-// abandoned batch still stops at the next scheduling-batch boundary).
+// abandoned batch still stops within the executor's next block of rows).
 func joinContexts(live []*pending) (context.Context, func()) {
 	if len(live) == 1 {
 		return live[0].ctx, func() {}

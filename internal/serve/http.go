@@ -31,7 +31,7 @@ type inferBody struct {
 	Edges       [][2]int    `json:"edges"`
 	Features    [][]float32 `json:"features"`
 	// TimeoutMS is the per-request deadline; it maps to context
-	// cancellation through core.ForwardContext. 0 means no extra deadline.
+	// cancellation of the gnn executor. 0 means no extra deadline.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 	// Precision selects the execution tier: "" (the server's default
 	// precision), "fp32", or "int8". Unknown values are 400 bad_input.

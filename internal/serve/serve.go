@@ -6,18 +6,18 @@
 // Three mechanisms make it survive sustained traffic (DESIGN.md §4h):
 //
 //   - A session cache keyed on (model, dims): each scale.Session — the
-//     gnn.Model, its lazily materialized weights, and the accelerator's
-//     pooled forward scratch — is constructed once and reused across
-//     requests, bounded by MaxSessions with LRU eviction.
+//     gnn.Model with its lazily materialized weights — is constructed
+//     once and reused across requests, bounded by MaxSessions with LRU
+//     eviction.
 //   - A dynamic micro-batcher per session: concurrent infer requests
 //     coalesce into single batched forward calls under a latency budget
 //     (BatchWindow / MaxBatch), with results bit-identical to serial
 //     execution (scale.Session.InferBatch's disjoint-union guarantee).
 //   - A bounded admission queue: when QueueDepth requests are in flight the
 //     server sheds load with 429 + Retry-After instead of queueing
-//     unboundedly. Per-request deadlines map to context cancellation
-//     through core.ForwardContext; fault sentinels map to 400s; contained
-//     panics map to 500s without crashing the process.
+//     unboundedly. Per-request deadlines map to context cancellation of
+//     the gnn executor; fault sentinels map to 400s; contained panics map
+//     to 500s without crashing the process.
 //
 // Shutdown is a graceful drain: BeginDrain stops admitting (503), in-flight
 // requests finish through http.Server.Shutdown, then Close retires the
@@ -40,8 +40,8 @@ import (
 // Config parameterizes a Server. The zero value of every field selects a
 // production-reasonable default; only Sim is required.
 type Config struct {
-	// Sim is the shared simulator; its accelerator model and forward-state
-	// pool back every session. Required.
+	// Sim is the shared simulator: it builds every session and runs every
+	// /v1/simulate request. Required.
 	Sim *scale.Simulator
 	// BatchWindow is how long the micro-batcher holds a batch open for
 	// late joiners (default 2ms; 0 coalesces only already-queued requests).

@@ -162,6 +162,22 @@ func (m *Matrix) MaxAbsDiff(o *Matrix) float64 {
 	return max
 }
 
+// BitDiffs counts the elements whose float32 bit patterns differ — the exact
+// comparison (unlike Equal, it tells +0 from -0 and equates identical NaNs).
+// Panics on shape mismatch.
+func (m *Matrix) BitDiffs(o *Matrix) int {
+	if m.Rows != o.Rows || m.Cols != o.Cols {
+		panic(fmt.Sprintf("tensor: shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
+	}
+	n := 0
+	for i, v := range m.Data {
+		if math.Float32bits(v) != math.Float32bits(o.Data[i]) {
+			n++
+		}
+	}
+	return n
+}
+
 // String renders a compact shape descriptor (not the contents).
 func (m *Matrix) String() string {
 	return fmt.Sprintf("Matrix(%dx%d)", m.Rows, m.Cols)

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -124,6 +125,18 @@ func TestMaxAbsDiff(t *testing.T) {
 	b := FromRows([][]float32{{2, 3}})
 	if d := a.MaxAbsDiff(b); d != 2 {
 		t.Fatalf("MaxAbsDiff = %v, want 2", d)
+	}
+}
+
+func TestBitDiffs(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	a := FromRows([][]float32{{1, 0, 3}})
+	b := FromRows([][]float32{{1, negZero, 3.0000002}})
+	if d := a.BitDiffs(a.Clone()); d != 0 {
+		t.Fatalf("BitDiffs of a copy = %d, want 0", d)
+	}
+	if d := a.BitDiffs(b); d != 2 {
+		t.Fatalf("BitDiffs = %d, want 2 (signed zero and one ulp both count)", d)
 	}
 }
 

@@ -19,7 +19,6 @@ package scale
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"scale/internal/arch"
 	"scale/internal/baseline"
@@ -50,28 +49,6 @@ type Options struct {
 // Simulator runs GNN workloads through the SCALE accelerator model.
 type Simulator struct {
 	accel *core.SCALE
-
-	// int8Accel is the quantized-execution twin: the same hardware
-	// configuration with Precision int8, built lazily on the first int8
-	// session so fp32-only processes never pay for it. A separate SCALE
-	// value means a separate forward-state pool — precision tiers never
-	// share scratch.
-	int8Once  sync.Once
-	int8Accel *core.SCALE
-	int8Err   error
-}
-
-// accelFor resolves the accelerator backing the given precision.
-func (s *Simulator) accelFor(p core.Precision) (*core.SCALE, error) {
-	if p != core.PrecisionInt8 {
-		return s.accel, nil
-	}
-	s.int8Once.Do(func() {
-		cfg := s.accel.Config()
-		cfg.Precision = core.PrecisionInt8
-		s.int8Accel, s.int8Err = core.New(cfg)
-	})
-	return s.int8Accel, s.int8Err
 }
 
 // Precisions lists the execution precisions a Session accepts: "fp32" (the
@@ -287,8 +264,8 @@ func Compare(model, dataset string) (map[string]Report, error) {
 }
 
 // Infer performs functional inference: it executes the model over an
-// explicit edge list using the SCALE dataflow (scheduled reduce chains and
-// per-vertex updates) and returns the final-layer vertex embeddings. Edges
+// explicit edge list (per-vertex reduce chains and updates, bit-identical to
+// the SCALE dataflow) and returns the final-layer vertex embeddings. Edges
 // are directed src→dst aggregation edges; features is row-major |V|×dims[0].
 //
 // Infer builds the model from scratch on every call. Callers issuing

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"scale/internal/core"
 	"scale/internal/fault"
 	"scale/internal/gnn"
 	"scale/internal/graph"
@@ -12,22 +11,23 @@ import (
 	"scale/internal/tensor"
 )
 
-// Session pins one (model, dims, precision) inference configuration to a
-// Simulator: the gnn.Model — weight matrices, fused kernels, per-layer seeds
-// — is built once at session creation and reused by every subsequent call,
-// and the underlying accelerator's pooled forward state (schedulers, worker
-// scratch, seen tables) warms up across calls. Simulator.Infer rebuilds all
-// of this per call; a Session amortizes it, which is what makes the serving
-// layer (internal/serve) viable under sustained traffic.
+// Session pins one (model, dims, precision) inference configuration: the
+// gnn.Model — weight matrices, fused kernels, per-layer seeds and, for int8
+// sessions, the quantized weight form — is built once at session creation
+// and reused by every subsequent call, while the executor's pooled scratch
+// warms up across calls. Simulator.Infer rebuilds the model per call; a
+// Session amortizes it, which is what makes the serving layer
+// (internal/serve) viable under sustained traffic.
 //
+// Every entry point runs the row-parallel gnn executor; the accelerator
+// configuration only shapes the timing model, never the computed values.
 // A Session is safe for concurrent use: the model is immutable after
-// construction and all per-call state lives in the accelerator's sync.Pool.
+// construction and all per-call state lives in the executor's sync.Pool.
 type Session struct {
-	accel     *core.SCALE
 	model     *gnn.Model
 	name      string
 	dims      []int
-	precision core.Precision
+	precision string
 	plan      quant.Plan
 }
 
@@ -44,11 +44,7 @@ func (s *Simulator) NewSession(model string, dims []int) (*Session, error) {
 // is materialized here, once, so the first request pays no quantization
 // cost; unknown precisions are typed input errors (fault.ErrBadConfig).
 func (s *Simulator) NewSessionPrecision(model string, dims []int, precision string) (*Session, error) {
-	prec, err := core.ParsePrecision(precision)
-	if err != nil {
-		return nil, err
-	}
-	accel, err := s.accelFor(prec)
+	prec, err := parsePrecision(precision)
 	if err != nil {
 		return nil, err
 	}
@@ -56,19 +52,30 @@ func (s *Simulator) NewSessionPrecision(model string, dims []int, precision stri
 	if err != nil {
 		return nil, err
 	}
-	if prec == core.PrecisionInt8 {
+	if prec == "int8" {
 		if err := gnn.QuantizeModel(m); err != nil {
 			return nil, err
 		}
 	}
 	return &Session{
-		accel:     accel,
 		model:     m,
 		name:      model,
 		dims:      append([]int(nil), dims...),
 		precision: prec,
-		plan:      sessionPlan(m, prec),
+		plan:      sessionPlan(m),
 	}, nil
+}
+
+// parsePrecision normalizes a session precision: "" and "fp32" select
+// float32, "int8" the quantized tier; anything else is ErrBadConfig.
+func parsePrecision(p string) (string, error) {
+	switch p {
+	case "", "fp32":
+		return "fp32", nil
+	case "int8":
+		return p, nil
+	}
+	return "", fmt.Errorf("scale: unknown precision %q (have %v): %w", p, Precisions(), fault.ErrBadConfig)
 }
 
 // sessionPlan derives the session's precision-mix statistics as an
@@ -77,11 +84,8 @@ func (s *Simulator) NewSessionPrecision(model string, dims []int, precision stri
 // by layers that materialized an int8 form, so Compression/AvgBytes report
 // what the session actually runs — 1.0/4B for fp32 sessions, below that for
 // int8 ones (exactly 0.25/1B when every layer quantizes).
-func sessionPlan(m *gnn.Model, prec core.Precision) quant.Plan {
+func sessionPlan(m *gnn.Model) quant.Plan {
 	plan := quant.Plan{LowBytes: 1, HighBytes: 4}
-	if prec != core.PrecisionInt8 {
-		return plan
-	}
 	var total, quantized int64
 	for _, l := range m.Layers {
 		wb := l.Work().WeightBytes
@@ -119,14 +123,14 @@ func (sess *Session) LayerDims() []int { return sess.model.Dims() }
 // passing global degrees so halo sources normalize exactly as an unsharded
 // pass would. Outside that context, prefer Infer/InferBatch.
 func (sess *Session) ForwardLayerCSR(ctx context.Context, layer int, g *graph.Graph, x *tensor.Matrix, degrees []int32, workers int) (*tensor.Matrix, error) {
-	return sess.accel.ForwardLayerContext(ctx, sess.model, layer, g, x, degrees, workers)
+	return gnn.ForwardLayerContext(ctx, sess.model, layer, g, x, degrees, workers)
 }
 
 // Dims returns a copy of the session's feature-length chain.
 func (sess *Session) Dims() []int { return append([]int(nil), sess.dims...) }
 
 // Precision returns the session's execution precision ("fp32" or "int8").
-func (sess *Session) Precision() string { return string(sess.precision) }
+func (sess *Session) Precision() string { return sess.precision }
 
 // PrecisionStats reports the session's weight-footprint statistics:
 // compression is the byte ratio versus full float32 (1 = full precision,
@@ -146,11 +150,11 @@ func (sess *Session) InferGraph(ctx context.Context, g *graph.Graph, x *tensor.M
 	if err := sess.validateMatrix(g, x); err != nil {
 		return nil, err
 	}
-	outs, err := sess.accel.ForwardContext(ctx, sess.model, g, x, workers)
+	out, err := sess.forward(ctx, []*graph.Graph{g}, x, workers)
 	if err != nil {
 		return nil, err
 	}
-	return copyRows(outs[len(outs)-1]), nil
+	return copyRows(out), nil
 }
 
 // InferSampled runs one forward pass with a distinct graph per layer —
@@ -169,18 +173,35 @@ func (sess *Session) InferSampled(ctx context.Context, layers []*graph.Graph, x 
 	if err := sess.validateMatrix(layers[0], x); err != nil {
 		return nil, err
 	}
-	h := x
 	for li, g := range layers {
 		if g.NumVertices() != x.Rows {
 			return nil, fmt.Errorf("scale: layer %d graph has %d vertices, want %d: %w", li, g.NumVertices(), x.Rows, fault.ErrBadGraph)
 		}
+	}
+	out, err := sess.forward(ctx, layers, x, workers)
+	if err != nil {
+		return nil, err
+	}
+	return copyRows(out), nil
+}
+
+// forward is the one per-layer loop behind every inference entry point: it
+// advances x through the session's model, layer li aggregating over
+// graphs[li] when graphs holds one graph per layer and over graphs[0]
+// otherwise, each layer seeing its graph's own in-degrees.
+func (sess *Session) forward(ctx context.Context, graphs []*graph.Graph, x *tensor.Matrix, workers int) (*tensor.Matrix, error) {
+	h := x
+	for li := range sess.model.Layers {
+		g := graphs[0]
+		if len(graphs) > 1 {
+			g = graphs[li]
+		}
 		var err error
-		h, err = sess.accel.ForwardLayerContext(ctx, sess.model, li, g, h, nil, workers)
-		if err != nil {
+		if h, err = gnn.ForwardLayerContext(ctx, sess.model, li, g, h, nil, workers); err != nil {
 			return nil, err
 		}
 	}
-	return copyRows(h), nil
+	return h, nil
 }
 
 // validateMatrix checks a materialized (graph, features) pair against the
@@ -251,9 +272,8 @@ func (sess *Session) Infer(numVertices int, edges [][2]int, features [][]float32
 	return sess.InferContext(context.Background(), InferRequest{NumVertices: numVertices, Edges: edges, Features: features})
 }
 
-// InferContext is Infer under a context: the deadline or cancellation maps
-// through core.ForwardContext and is honoured at every scheduling-batch
-// boundary.
+// InferContext is Infer under a context: the deadline or cancellation is
+// honoured at every layer boundary and every block of rows inside a layer.
 func (sess *Session) InferContext(ctx context.Context, req InferRequest) ([][]float32, error) {
 	out, err := sess.InferBatch(ctx, []InferRequest{req})
 	if err != nil {
@@ -264,8 +284,8 @@ func (sess *Session) InferContext(ctx context.Context, req InferRequest) ([][]fl
 
 // InferBatch coalesces several independent graphs into one forward call: the
 // inputs are joined into a block-diagonal (disjoint-union) graph, their
-// feature matrices are stacked, and a single scheduled forward pass executes
-// them all. Results are split back per request.
+// feature matrices are stacked, and a single forward pass executes them
+// all. Results are split back per request.
 //
 // Because aggregation folds each vertex's in-edges in CSR mapping order and
 // the union preserves both per-vertex neighbor order and per-vertex degrees,
@@ -302,11 +322,10 @@ func (sess *Session) InferBatch(ctx context.Context, reqs []InferRequest) ([][][
 	}
 	g := b.Build("user")
 
-	outs, err := sess.accel.ForwardContext(ctx, sess.model, g, x, 0)
+	last, err := sess.forward(ctx, []*graph.Graph{g}, x, 0)
 	if err != nil {
 		return nil, err
 	}
-	last := outs[len(outs)-1]
 
 	results := make([][][]float32, len(reqs))
 	offset = 0
