@@ -75,13 +75,16 @@ race:
 	$(GO) test -race -timeout 10m ./internal/serve/ ./internal/shard/... ./internal/dyn/ .
 
 # Tier 3: short fuzz passes over the parsers (graph edge lists, binary
-# graph decoding, feature matrices, config JSON round-trip).
+# graph decoding, feature matrices, config JSON round-trip, the /v1/infer
+# body decoder against encoding/json, the shard wire frames).
 fuzz:
 	$(GO) test ./internal/graph/ -run FuzzParseEdgeList -fuzz FuzzParseEdgeList -fuzztime 20s
 	$(GO) test ./internal/graph/ -run FuzzDecode -fuzz FuzzDecode -fuzztime 20s
 	$(GO) test ./internal/graph/ -run FuzzParseFeatures -fuzz FuzzParseFeatures -fuzztime 20s
 	$(GO) test ./internal/core/ -run FuzzConfigJSON -fuzz FuzzConfigJSON -fuzztime 20s
 	$(GO) test ./internal/dyn/ -run FuzzMutationDecode -fuzz FuzzMutationDecode -fuzztime 20s
+	$(GO) test ./internal/serve/ -run FuzzInferBody -fuzz FuzzInferBody -fuzztime 20s
+	$(GO) test ./internal/shard/ -run FuzzWireFrames -fuzz FuzzWireFrames -fuzztime 20s
 
 # Performance tier: run the simulator, scheduler, and forward-execution
 # benchmarks with allocation stats and merge the results into the committed

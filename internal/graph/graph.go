@@ -10,6 +10,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"scale/internal/fault"
@@ -83,8 +84,7 @@ func (b *Builder) Build(name string) *Graph {
 	// Sort each adjacency list for deterministic iteration and fast
 	// intersection in the redundancy pass.
 	for v := 0; v < b.numVertices; v++ {
-		row := g.colIdx[g.rowPtr[v]:g.rowPtr[v+1]]
-		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
+		slices.Sort(g.colIdx[g.rowPtr[v]:g.rowPtr[v+1]])
 	}
 	return g
 }

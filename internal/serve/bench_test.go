@@ -110,3 +110,47 @@ func BenchmarkServeBatchedHeavy(b *testing.B) {
 func BenchmarkServeBatchedHeavyInt8(b *testing.B) {
 	benchServeHeavy(b, "int8")
 }
+
+// BenchmarkDecodeInferBody times /v1/infer body decoding alone: the
+// reflection-free decoder against json.Unmarshal, on the benchmark's
+// Reddit-shaped body (350 vertices, ~160k edges, 602-wide features) and on
+// an infer-small-sized one. MB/s is body bytes per second.
+func BenchmarkDecodeInferBody(b *testing.B) {
+	small := testGraph(42, 64, 4, 32)
+	smallBody, err := json.Marshal(inferBody{
+		Model: "gcn", Dims: []int{32, 32, 8}, NumVertices: small.NumVertices,
+		Edges: small.Edges, Features: small.Features,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, in := range []struct {
+		name string
+		body []byte
+	}{{"reddit", redditBody(b, 350)}, {"small", smallBody}} {
+		b.Run(in.name, func(b *testing.B) {
+			b.SetBytes(int64(len(in.body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				body, err := decodeInferBody(in.body)
+				if err != nil {
+					b.Fatal(err)
+				}
+				decodeSink = body
+			}
+		})
+		b.Run(in.name+"/json.Unmarshal", func(b *testing.B) {
+			b.SetBytes(int64(len(in.body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var body inferBody
+				if err := json.Unmarshal(in.body, &body); err != nil {
+					b.Fatal(err)
+				}
+				decodeSink = body
+			}
+		})
+	}
+}
+
+var decodeSink inferBody

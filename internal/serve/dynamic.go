@@ -191,15 +191,7 @@ func (s *Server) handleInferDirect(w http.ResponseWriter, r *http.Request, body 
 			s.writeMapped(w, err)
 			return
 		}
-		b := graph.NewBuilder(body.NumVertices)
-		for _, e := range body.Edges {
-			b.AddEdge(e[0], e[1])
-		}
-		g = b.Build("user")
-		x = tensor.NewMatrix(body.NumVertices, body.Dims[0])
-		for v, row := range body.Features {
-			copy(x.Row(v), row)
-		}
+		g, x = body.graphAndFeatures()
 	}
 
 	ctx := r.Context()

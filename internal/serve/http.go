@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -47,6 +48,12 @@ type inferBody struct {
 	// the same (seed, fanout) pair.
 	SampleFanout int    `json:"sample_fanout,omitempty"`
 	SampleSeed   uint64 `json:"sample_seed,omitempty"`
+
+	// feat is the backing array of Features in a body decodeInferBody
+	// returned: the rows are consecutive subslices of it, so once
+	// validateShardBody has checked each is Dims[0] wide, feat is the
+	// NumVertices × Dims[0] feature matrix as it stands.
+	feat []float32
 }
 
 // inferResponse is the POST /v1/infer success payload.
@@ -214,7 +221,11 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	defer s.queue.release()
 
 	var body inferBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+	raw, err := io.ReadAll(r.Body)
+	if err == nil {
+		body, err = decodeInferBody(raw)
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad JSON body: "+err.Error(), "bad_input")
 		return
 	}
@@ -319,15 +330,7 @@ func (s *Server) handleInferSharded(w http.ResponseWriter, r *http.Request, body
 		s.serveDegraded(w, r, body, precision)
 		return
 	}
-	b := graph.NewBuilder(body.NumVertices)
-	for _, e := range body.Edges {
-		b.AddEdge(e[0], e[1])
-	}
-	g := b.Build("user")
-	x := tensor.NewMatrix(body.NumVertices, body.Dims[0])
-	for v, row := range body.Features {
-		copy(x.Row(v), row)
-	}
+	g, x := body.graphAndFeatures()
 
 	ctx := r.Context()
 	cancel := func() {}
@@ -377,6 +380,16 @@ func fallbackEligible(err error) bool {
 		return false
 	}
 	return true
+}
+
+// graphAndFeatures builds a validated body's graph and adopts its feature
+// rows' backing array as the input matrix, with no per-row copy.
+func (body *inferBody) graphAndFeatures() (*graph.Graph, *tensor.Matrix) {
+	b := graph.NewBuilder(body.NumVertices)
+	for _, e := range body.Edges {
+		b.AddEdge(e[0], e[1])
+	}
+	return b.Build("user"), &tensor.Matrix{Rows: body.NumVertices, Cols: body.Dims[0], Data: body.feat}
 }
 
 // validateShardBody mirrors scale.Session.Validate for the sharded path,

@@ -15,6 +15,7 @@ package shard
 // measured is discussed in EXPERIMENTS.md (PR 8).
 
 import (
+	"bytes"
 	"context"
 	"net/http/httptest"
 	"strconv"
@@ -123,3 +124,73 @@ func BenchmarkShardPass(b *testing.B) {
 		}
 	}
 }
+
+// wireLoad is the load frame of one shard of a two-way split of a
+// Reddit-shaped graph (the benchmark's infer-reddit-sharded input shape:
+// 350 vertices, average degree 474, 602-wide features).
+func wireLoad(b *testing.B) *LoadRequest {
+	b.Helper()
+	g := graph.CommunityGraph(350, 6, 474, 7)
+	plan, err := PartitionGraph(g, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sub := &plan.Shards[0]
+	n := sub.Graph.NumVertices()
+	q := &LoadRequest{ReqID: 1, Model: "gcn", Precision: "fp32", Dims: []int32{602, 64, 41},
+		Owned: sub.Owned, Degrees: sub.Degrees, RowPtr: make([]int32, n+1)}
+	for v := 0; v < n; v++ {
+		nbrs := sub.Graph.InNeighbors(v)
+		q.RowPtr[v+1] = q.RowPtr[v] + int32(len(nbrs))
+		q.ColIdx = append(q.ColIdx, nbrs...)
+	}
+	q.Features = make([]float32, n*602)
+	for i := range q.Features {
+		q.Features[i] = float32(i%17-8) / 8
+	}
+	return q
+}
+
+// BenchmarkWireLoadEncode encodes one Reddit-shaped load frame into a
+// reused buffer.
+func BenchmarkWireLoadEncode(b *testing.B) {
+	q := wireLoad(b)
+	var buf bytes.Buffer
+	if err := q.Encode(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := q.Encode(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWireLoadDecode reads and decodes the same frame from an
+// in-memory body the way a worker handles a load: the whole body read into
+// one buffer pre-sized from its length, then parsed.
+func BenchmarkWireLoadDecode(b *testing.B) {
+	var buf bytes.Buffer
+	if err := wireLoad(b).Encode(&buf); err != nil {
+		b.Fatal(err)
+	}
+	frame := buf.Bytes()
+	b.SetBytes(int64(len(frame)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body, err := readFrame(bytes.NewReader(frame), int64(len(frame)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if wireSink, err = decodeLoad(body); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+var wireSink *LoadRequest

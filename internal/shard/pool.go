@@ -480,38 +480,12 @@ func (p *Pool) forEachShard(runs []*shardRun, fn func(*shardRun) error) error {
 // last resort.
 func (p *Pool) loadShard(ctx context.Context, spec SessionSpec, sr *shardRun, li int, h *tensor.Matrix) error {
 	sub := sr.sub
-	n := len(sub.Global)
-	q := &LoadRequest{
-		ReqID:     sr.reqID,
-		Model:     spec.Model,
-		Precision: spec.Precision,
-		Layer:     int32(li),
-		Owned:     sub.Owned,
-		Degrees:   sub.Degrees,
-	}
-	q.Dims = make([]int32, len(spec.Dims))
-	for i, d := range spec.Dims {
-		q.Dims[i] = int32(d)
-	}
-	q.RowPtr = make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		nbrs := sub.Graph.InNeighbors(v)
-		q.RowPtr[v+1] = q.RowPtr[v] + int32(len(nbrs))
-		q.ColIdx = append(q.ColIdx, nbrs...)
-	}
-	q.Features = make([]float32, 0, n*h.Cols)
-	for _, gv := range sub.Global {
-		q.Features = append(q.Features, h.Row(int(gv))...)
-	}
-	var body bytes.Buffer
-	if err := q.Encode(&body); err != nil {
-		return err
-	}
+	frame := loadFrame(sr.reqID, spec, li, sub, h)
 
 	var lastErr error
 	var denied []string
 	attempt := func(addr string) (bool, error) {
-		resp, err := p.postRetry(ctx, addr+"/v1/shard/load", body.Bytes())
+		resp, err := p.postRetry(ctx, addr+"/v1/shard/load", frame)
 		if err == nil && resp.code == http.StatusNoContent {
 			p.breakers[addr].Success()
 			sr.addr = addr
@@ -563,20 +537,10 @@ func (p *Pool) loadShard(ctx context.Context, spec SessionSpec, sr *shardRun, li
 // complete global state at this boundary, so failover loses nothing.
 func (p *Pool) layerShard(ctx context.Context, spec SessionSpec, sr *shardRun, li int, h *tensor.Matrix) (*LayerResponse, error) {
 	sub := sr.sub
-	q := &LayerRequest{ReqID: sr.reqID, Layer: int32(li), Cols: int32(h.Cols)}
+	frame := layerFrame(sr.reqID, li, sub, h)
 	if li > 0 {
-		// The load already carried layer 0's halo rows inside Features.
-		q.HaloIDs = sub.Halo
-		q.HaloRows = make([]float32, 0, len(sub.Halo)*h.Cols)
-		for _, lh := range sub.Halo {
-			q.HaloRows = append(q.HaloRows, h.Row(int(sub.Global[lh]))...)
-		}
+		p.metrics.HaloBytesSent.Add(int64(len(sub.Halo)*h.Cols) * 4)
 	}
-	var body bytes.Buffer
-	if err := q.Encode(&body); err != nil {
-		return nil, err
-	}
-	p.metrics.HaloBytesSent.Add(int64(len(q.HaloRows)) * 4)
 
 	attemptedReload := false
 	var lastErr error
@@ -590,15 +554,11 @@ func (p *Pool) layerShard(ctx context.Context, spec SessionSpec, sr *shardRun, l
 			}
 			p.metrics.Reloads.Add(1)
 			attemptedReload = true
-			empty := &LayerRequest{ReqID: sr.reqID, Layer: int32(li), Cols: int32(h.Cols)}
-			body.Reset()
-			if err := empty.Encode(&body); err != nil {
-				return nil, err
-			}
+			frame = (&LayerRequest{ReqID: sr.reqID, Layer: int32(li), Cols: int32(h.Cols)}).frame()
 		}
-		resp, err := p.postRetry(ctx, sr.addr+"/v1/shard/layer", body.Bytes())
+		resp, err := p.postRetry(ctx, sr.addr+"/v1/shard/layer", frame)
 		if err == nil && resp.code == http.StatusOK {
-			lr, derr := DecodeLayerResponse(bytes.NewReader(resp.body))
+			lr, derr := decodeLayerResponse(resp.body)
 			if derr == nil {
 				if want := len(sub.Owned) * int(lr.Cols); len(lr.Rows) != want {
 					return nil, fmt.Errorf("shard %d: layer %d returned %d values, want %d: %w",

@@ -1,13 +1,14 @@
 package shard
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 
 	"scale/internal/fault"
+	"scale/internal/tensor"
 )
 
 // The shard data plane speaks a small length-prefixed binary framing over
@@ -15,12 +16,16 @@ import (
 // feature matrices dominate the exchanged bytes, raw little-endian float32
 // preserves every bit exactly (no text round-trip), and encoding is a
 // straight memory walk. Control-plane answers (errors, health) stay JSON.
+//
+// The codec works in bulk: an encoder computes the frame length, fills one
+// pre-sized []byte and writes it once; a decoder parses a whole body held in
+// memory and checks every length prefix against the bytes that remain
+// before it allocates, so a corrupt prefix costs nothing but its error.
 const (
 	wireMagic   uint32 = 0x53435348 // "SCSH"
 	wireVersion uint32 = 1
-	// maxWireElems caps any single decoded slice (2^27 ≈ 134M elements,
-	// ≥ 512 MB of float32) so a corrupt length prefix cannot OOM a worker.
-	maxWireElems = 1 << 27
+	// maxWireString caps the model and precision names.
+	maxWireString = 4096
 )
 
 // LoadRequest ships one shard's state for one inference request: the local
@@ -62,167 +67,175 @@ type LayerResponse struct {
 	Rows []float32 // len(Owned) × Cols, row-major
 }
 
-// wireWriter accumulates encode errors so happy-path code stays linear.
-type wireWriter struct {
-	w   *bufio.Writer
-	err error
-	buf [8]byte
+// Frame sizes: the magic and version words, a string's length prefix plus
+// its bytes, a slice's length prefix plus 4 bytes per element.
+const headerSize = 8
+
+func strSize(s string) int { return 4 + len(s) }
+func sliceSize(n int) int  { return 4 + 4*n }
+
+// frameWriter fills a frame pre-sized to its exact length.
+type frameWriter struct {
+	b   []byte
+	off int
 }
 
-func newWireWriter(w io.Writer) *wireWriter { return &wireWriter{w: bufio.NewWriter(w)} }
-
-func (w *wireWriter) u32(v uint32) {
-	if w.err != nil {
-		return
-	}
-	binary.LittleEndian.PutUint32(w.buf[:4], v)
-	_, w.err = w.w.Write(w.buf[:4])
+func newFrameWriter(size int) *frameWriter {
+	w := &frameWriter{b: make([]byte, size)}
+	w.u32(wireMagic)
+	w.u32(wireVersion)
+	return w
 }
 
-func (w *wireWriter) u64(v uint64) {
-	if w.err != nil {
-		return
-	}
-	binary.LittleEndian.PutUint64(w.buf[:8], v)
-	_, w.err = w.w.Write(w.buf[:8])
+func (w *frameWriter) u32(v uint32) {
+	binary.LittleEndian.PutUint32(w.b[w.off:], v)
+	w.off += 4
 }
 
-func (w *wireWriter) str(s string) {
+func (w *frameWriter) u64(v uint64) {
+	binary.LittleEndian.PutUint64(w.b[w.off:], v)
+	w.off += 8
+}
+
+func (w *frameWriter) str(s string) {
 	w.u32(uint32(len(s)))
-	if w.err != nil {
-		return
-	}
-	_, w.err = w.w.WriteString(s)
+	w.off += copy(w.b[w.off:], s)
 }
 
-func (w *wireWriter) i32s(vs []int32) {
-	w.u32(uint32(len(vs)))
-	for _, v := range vs {
-		w.u32(uint32(v))
+// i32Block writes vs without a length prefix.
+func (w *frameWriter) i32Block(vs []int32) {
+	dst := w.b[w.off : w.off+4*len(vs)]
+	for i, v := range vs {
+		binary.LittleEndian.PutUint32(dst[4*i:], uint32(v))
 	}
+	w.off += len(dst)
 }
 
-func (w *wireWriter) f32s(vs []float32) {
+func (w *frameWriter) i32s(vs []int32) {
 	w.u32(uint32(len(vs)))
-	if w.err != nil {
-		return
+	w.i32Block(vs)
+}
+
+// f32Block writes vs without a length prefix.
+func (w *frameWriter) f32Block(vs []float32) {
+	dst := w.b[w.off : w.off+4*len(vs)]
+	for i, v := range vs {
+		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
 	}
-	for _, v := range vs {
-		binary.LittleEndian.PutUint32(w.buf[:4], math.Float32bits(v))
-		if _, err := w.w.Write(w.buf[:4]); err != nil {
-			w.err = err
-			return
+	w.off += len(dst)
+}
+
+func (w *frameWriter) f32s(vs []float32) {
+	w.u32(uint32(len(vs)))
+	w.f32Block(vs)
+}
+
+// rows writes the rows of m named by ids as one float slice: row
+// m.Row(ids[i]), or m.Row(remap[ids[i]]) when remap is non-nil.
+func (w *frameWriter) rows(m *tensor.Matrix, ids, remap []int32) {
+	w.u32(uint32(len(ids) * m.Cols))
+	for _, id := range ids {
+		if remap != nil {
+			id = remap[id]
 		}
+		w.f32Block(m.Row(int(id)))
 	}
 }
 
-func (w *wireWriter) flush() error {
-	if w.err != nil {
-		return w.err
-	}
-	return w.w.Flush()
-}
-
-// wireReader mirrors wireWriter; every length prefix is bounds-checked so a
-// corrupt frame degrades into a typed ErrBadGraph instead of an allocation
-// blowup.
-type wireReader struct {
-	r   *bufio.Reader
+// frameReader parses a frame held in memory. Errors accumulate so
+// happy-path code stays linear; every one is a typed ErrBadGraph.
+type frameReader struct {
+	b   []byte
+	off int
 	err error
-	buf [8]byte
 }
 
-func newWireReader(r io.Reader) *wireReader { return &wireReader{r: bufio.NewReader(r)} }
-
-func (r *wireReader) fail(format string, args ...any) {
+func (r *frameReader) fail(format string, args ...any) {
 	if r.err == nil {
 		r.err = fmt.Errorf("shard: "+format+": %w", append(args, fault.ErrBadGraph)...)
 	}
 }
 
-func (r *wireReader) u32() uint32 {
+// take returns the next n bytes, or nil after recording a truncation.
+func (r *frameReader) take(n int) []byte {
 	if r.err != nil {
-		return 0
+		return nil
 	}
-	if _, err := io.ReadFull(r.r, r.buf[:4]); err != nil {
-		r.err = fmt.Errorf("shard: truncated frame: %w", fault.ErrBadGraph)
-		return 0
+	if n > len(r.b)-r.off {
+		r.fail("truncated frame")
+		return nil
 	}
-	return binary.LittleEndian.Uint32(r.buf[:4])
+	p := r.b[r.off : r.off+n]
+	r.off += n
+	return p
 }
 
-func (r *wireReader) u64() uint64 {
-	if r.err != nil {
-		return 0
+func (r *frameReader) u32() uint32 {
+	if p := r.take(4); p != nil {
+		return binary.LittleEndian.Uint32(p)
 	}
-	if _, err := io.ReadFull(r.r, r.buf[:8]); err != nil {
-		r.err = fmt.Errorf("shard: truncated frame: %w", fault.ErrBadGraph)
-		return 0
-	}
-	return binary.LittleEndian.Uint64(r.buf[:8])
+	return 0
 }
 
-func (r *wireReader) str() string {
+func (r *frameReader) u64() uint64 {
+	if p := r.take(8); p != nil {
+		return binary.LittleEndian.Uint64(p)
+	}
+	return 0
+}
+
+func (r *frameReader) str() string {
 	n := r.u32()
 	if r.err != nil {
 		return ""
 	}
-	if n > 4096 {
+	if n > maxWireString {
 		r.fail("string length %d exceeds limit", n)
 		return ""
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r.r, b); err != nil {
-		r.fail("truncated string")
-		return ""
-	}
-	return string(b)
+	return string(r.take(int(n)))
 }
 
-func (r *wireReader) count() int {
+// block reads a length prefix and returns the 4-byte elements it counts.
+// The count is checked against the bytes left in the frame before the
+// caller allocates anything for it.
+func (r *frameReader) block() []byte {
 	n := r.u32()
 	if r.err != nil {
-		return 0
-	}
-	if n > maxWireElems {
-		r.fail("slice length %d exceeds limit", n)
-		return 0
-	}
-	return int(n)
-}
-
-func (r *wireReader) i32s() []int32 {
-	n := r.count()
-	if r.err != nil || n == 0 {
 		return nil
 	}
-	vs := make([]int32, n)
+	if left := len(r.b) - r.off; uint64(n) > uint64(left/4) {
+		r.fail("slice length %d exceeds the %d bytes left in the frame", n, left)
+		return nil
+	}
+	return r.take(4 * int(n))
+}
+
+func (r *frameReader) i32s() []int32 {
+	p := r.block()
+	if len(p) == 0 {
+		return nil
+	}
+	vs := make([]int32, len(p)/4)
 	for i := range vs {
-		vs[i] = int32(r.u32())
-		if r.err != nil {
-			return nil
-		}
+		vs[i] = int32(binary.LittleEndian.Uint32(p[4*i:]))
 	}
 	return vs
 }
 
-func (r *wireReader) f32s() []float32 {
-	n := r.count()
-	if r.err != nil || n == 0 {
+func (r *frameReader) f32s() []float32 {
+	p := r.block()
+	if len(p) == 0 {
 		return nil
 	}
-	vs := make([]float32, n)
+	vs := make([]float32, len(p)/4)
 	for i := range vs {
-		if _, err := io.ReadFull(r.r, r.buf[:4]); err != nil {
-			r.fail("truncated float block")
-			return nil
-		}
-		vs[i] = math.Float32frombits(binary.LittleEndian.Uint32(r.buf[:4]))
+		vs[i] = math.Float32frombits(binary.LittleEndian.Uint32(p[4*i:]))
 	}
 	return vs
 }
 
-func (r *wireReader) header() {
+func (r *frameReader) header() {
 	if m := r.u32(); r.err == nil && m != wireMagic {
 		r.fail("bad magic %#x", m)
 	}
@@ -231,28 +244,93 @@ func (r *wireReader) header() {
 	}
 }
 
-// Encode writes the frame.
+// maxFramePresize caps how much of a sender's claimed body length
+// readFrame allocates before any byte arrives.
+const maxFramePresize = 4 << 20
+
+// readFrame reads a whole frame body; a failed read is a truncated frame.
+// size is the sender's claimed length (negative when unknown): it pre-sizes
+// the buffer up to maxFramePresize, and the buffer grows past that only as
+// bytes actually arrive.
+func readFrame(rd io.Reader, size int64) ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(size, 0), maxFramePresize)+bytes.MinRead))
+	if _, err := buf.ReadFrom(rd); err != nil {
+		return nil, fmt.Errorf("shard: truncated frame: %v: %w", err, fault.ErrBadGraph)
+	}
+	return buf.Bytes(), nil
+}
+
+// frame returns the encoded frame.
+func (q *LoadRequest) frame() []byte {
+	w := newFrameWriter(headerSize + 8 + strSize(q.Model) + strSize(q.Precision) + sliceSize(len(q.Dims)) + 4 +
+		sliceSize(len(q.Owned)) + sliceSize(len(q.RowPtr)) + sliceSize(len(q.ColIdx)) +
+		sliceSize(len(q.Degrees)) + sliceSize(len(q.Features)))
+	w.u64(q.ReqID)
+	w.str(q.Model)
+	w.str(q.Precision)
+	w.i32s(q.Dims)
+	w.u32(uint32(q.Layer))
+	w.i32s(q.Owned)
+	w.i32s(q.RowPtr)
+	w.i32s(q.ColIdx)
+	w.i32s(q.Degrees)
+	w.f32s(q.Features)
+	return w.b
+}
+
+// Encode writes the frame in one Write.
 func (q *LoadRequest) Encode(w io.Writer) error {
-	ww := newWireWriter(w)
-	ww.u32(wireMagic)
-	ww.u32(wireVersion)
-	ww.u64(q.ReqID)
-	ww.str(q.Model)
-	ww.str(q.Precision)
-	ww.i32s(q.Dims)
-	ww.u32(uint32(q.Layer))
-	ww.i32s(q.Owned)
-	ww.i32s(q.RowPtr)
-	ww.i32s(q.ColIdx)
-	ww.i32s(q.Degrees)
-	ww.f32s(q.Features)
-	return ww.flush()
+	_, err := w.Write(q.frame())
+	return err
+}
+
+// loadFrame encodes the LoadRequest frame of shard sub straight from the
+// plan and the layer-input matrix h: the CSR comes from sub.Graph and the
+// feature rows are gathered from h, with no intermediate LoadRequest. The
+// bytes are exactly LoadRequest.Encode's (pinned by TestLoadFrameMatchesEncode).
+func loadFrame(reqID uint64, spec SessionSpec, layer int, sub *Subgraph, h *tensor.Matrix) []byte {
+	g := sub.Graph
+	n := g.NumVertices()
+	w := newFrameWriter(headerSize + 8 + strSize(spec.Model) + strSize(spec.Precision) + sliceSize(len(spec.Dims)) + 4 +
+		sliceSize(len(sub.Owned)) + sliceSize(n+1) + sliceSize(g.NumEdges()) +
+		sliceSize(len(sub.Degrees)) + sliceSize(len(sub.Global)*h.Cols))
+	w.u64(reqID)
+	w.str(spec.Model)
+	w.str(spec.Precision)
+	w.u32(uint32(len(spec.Dims)))
+	for _, d := range spec.Dims {
+		w.u32(uint32(d))
+	}
+	w.u32(uint32(layer))
+	w.i32s(sub.Owned)
+	w.u32(uint32(n + 1))
+	var end uint32
+	w.u32(end)
+	for v := 0; v < n; v++ {
+		end += uint32(g.InDegree(v))
+		w.u32(end)
+	}
+	w.u32(uint32(g.NumEdges()))
+	for v := 0; v < n; v++ {
+		w.i32Block(g.InNeighbors(v))
+	}
+	w.i32s(sub.Degrees)
+	w.rows(h, sub.Global, nil)
+	return w.b
 }
 
 // DecodeLoad reads one LoadRequest frame, returning typed input errors on
 // corruption.
 func DecodeLoad(rd io.Reader) (*LoadRequest, error) {
-	r := newWireReader(rd)
+	b, err := readFrame(rd, -1)
+	if err != nil {
+		return nil, err
+	}
+	return decodeLoad(b)
+}
+
+func decodeLoad(b []byte) (*LoadRequest, error) {
+	r := &frameReader{b: b}
 	r.header()
 	q := &LoadRequest{}
 	q.ReqID = r.u64()
@@ -274,22 +352,50 @@ func DecodeLoad(rd io.Reader) (*LoadRequest, error) {
 	return q, nil
 }
 
-// Encode writes the frame.
+func (q *LayerRequest) frame() []byte {
+	w := newFrameWriter(headerSize + 8 + 4 + 4 + sliceSize(len(q.HaloIDs)) + sliceSize(len(q.HaloRows)))
+	w.u64(q.ReqID)
+	w.u32(uint32(q.Layer))
+	w.u32(uint32(q.Cols))
+	w.i32s(q.HaloIDs)
+	w.f32s(q.HaloRows)
+	return w.b
+}
+
+// Encode writes the frame in one Write.
 func (q *LayerRequest) Encode(w io.Writer) error {
-	ww := newWireWriter(w)
-	ww.u32(wireMagic)
-	ww.u32(wireVersion)
-	ww.u64(q.ReqID)
-	ww.u32(uint32(q.Layer))
-	ww.u32(uint32(q.Cols))
-	ww.i32s(q.HaloIDs)
-	ww.f32s(q.HaloRows)
-	return ww.flush()
+	_, err := w.Write(q.frame())
+	return err
+}
+
+// layerFrame encodes the LayerRequest frame that advances shard sub past
+// layer li, with the halo rows gathered straight from h (none at layer 0:
+// the load carried them). The bytes are exactly LayerRequest.Encode's.
+func layerFrame(reqID uint64, li int, sub *Subgraph, h *tensor.Matrix) []byte {
+	var halo []int32
+	if li > 0 {
+		halo = sub.Halo
+	}
+	w := newFrameWriter(headerSize + 8 + 4 + 4 + sliceSize(len(halo)) + sliceSize(len(halo)*h.Cols))
+	w.u64(reqID)
+	w.u32(uint32(li))
+	w.u32(uint32(h.Cols))
+	w.i32s(halo)
+	w.rows(h, halo, sub.Global)
+	return w.b
 }
 
 // DecodeLayer reads one LayerRequest frame.
 func DecodeLayer(rd io.Reader) (*LayerRequest, error) {
-	r := newWireReader(rd)
+	b, err := readFrame(rd, -1)
+	if err != nil {
+		return nil, err
+	}
+	return decodeLayer(b)
+}
+
+func decodeLayer(b []byte) (*LayerRequest, error) {
+	r := &frameReader{b: b}
 	r.header()
 	q := &LayerRequest{}
 	q.ReqID = r.u64()
@@ -307,19 +413,40 @@ func DecodeLayer(rd io.Reader) (*LayerRequest, error) {
 	return q, nil
 }
 
-// Encode writes the frame.
+func (q *LayerResponse) frame() []byte {
+	w := newFrameWriter(headerSize + 4 + sliceSize(len(q.Rows)))
+	w.u32(uint32(q.Cols))
+	w.f32s(q.Rows)
+	return w.b
+}
+
+// Encode writes the frame in one Write.
 func (q *LayerResponse) Encode(w io.Writer) error {
-	ww := newWireWriter(w)
-	ww.u32(wireMagic)
-	ww.u32(wireVersion)
-	ww.u32(uint32(q.Cols))
-	ww.f32s(q.Rows)
-	return ww.flush()
+	_, err := w.Write(q.frame())
+	return err
+}
+
+// responseFrame encodes the LayerResponse frame carrying the rows of out
+// named by owned, straight from out. The bytes are exactly
+// LayerResponse.Encode's.
+func responseFrame(out *tensor.Matrix, owned []int32) []byte {
+	w := newFrameWriter(headerSize + 4 + sliceSize(len(owned)*out.Cols))
+	w.u32(uint32(out.Cols))
+	w.rows(out, owned, nil)
+	return w.b
 }
 
 // DecodeLayerResponse reads one LayerResponse frame.
 func DecodeLayerResponse(rd io.Reader) (*LayerResponse, error) {
-	r := newWireReader(rd)
+	b, err := readFrame(rd, -1)
+	if err != nil {
+		return nil, err
+	}
+	return decodeLayerResponse(b)
+}
+
+func decodeLayerResponse(b []byte) (*LayerResponse, error) {
+	r := &frameReader{b: b}
 	r.header()
 	q := &LayerResponse{}
 	q.Cols = int32(r.u32())

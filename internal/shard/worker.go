@@ -270,12 +270,24 @@ func (w *Worker) expireLocked(now time.Time) {
 // the cache for) the session, materialize the feature matrix, and register
 // the run at its starting layer.
 func (w *Worker) handleLoad(rw http.ResponseWriter, r *http.Request) {
-	q, err := DecodeLoad(r.Body)
+	frame, err := readFrame(r.Body, r.ContentLength)
+	if err != nil {
+		w.writeMapped(rw, err)
+		return
+	}
+	q, err := decodeLoad(frame)
 	if err != nil {
 		w.writeMapped(rw, err)
 		return
 	}
 	if err := validateLoad(q); err != nil {
+		w.writeMapped(rw, err)
+		return
+	}
+	// The front ships its local CSR already sorted: adopt it, and let
+	// FromCSR's validation reject a malformed one as ErrBadGraph.
+	g, err := graph.FromCSR(fmt.Sprintf("shardrun-%d", q.ReqID), q.RowPtr, q.ColIdx)
+	if err != nil {
 		w.writeMapped(rw, err)
 		return
 	}
@@ -288,23 +300,14 @@ func (w *Worker) handleLoad(rw http.ResponseWriter, r *http.Request) {
 		w.writeMapped(rw, err)
 		return
 	}
-	n := q.NumVertices()
-	b := graph.NewBuilder(n)
-	for v := 0; v < n; v++ {
-		for _, u := range q.ColIdx[q.RowPtr[v]:q.RowPtr[v+1]] {
-			b.AddEdge(int(u), v)
-		}
-	}
-	h := tensor.NewMatrix(n, dims[q.Layer])
-	copy(h.Data, q.Features)
-
 	ru := &run{
 		sess:    sess,
-		g:       b.Build(fmt.Sprintf("shardrun-%d", q.ReqID)),
+		g:       g,
 		degrees: q.Degrees,
 		owned:   q.Owned,
-		h:       h,
-		next:    q.Layer,
+		// validateLoad checked the feature block is exactly n × dims[layer].
+		h:    &tensor.Matrix{Rows: q.NumVertices(), Cols: dims[q.Layer], Data: q.Features},
+		next: q.Layer,
 	}
 	ru.touched.Store(time.Now().UnixNano())
 
@@ -323,7 +326,8 @@ func (w *Worker) handleLoad(rw http.ResponseWriter, r *http.Request) {
 }
 
 // validateLoad checks a decoded load frame's internal consistency with typed
-// input errors: the wire layer only guarantees well-formed framing.
+// input errors: the wire layer only guarantees well-formed framing. The CSR
+// itself is checked by graph.FromCSR when the worker adopts it.
 func validateLoad(q *LoadRequest) error {
 	n := q.NumVertices()
 	if n <= 0 {
@@ -334,19 +338,6 @@ func validateLoad(q *LoadRequest) error {
 	}
 	if q.Layer < 0 || int(q.Layer) >= len(q.Dims)-1 {
 		return fmt.Errorf("shard: start layer %d outside [0, %d): %w", q.Layer, len(q.Dims)-1, fault.ErrBadConfig)
-	}
-	for v := 0; v < n; v++ {
-		if q.RowPtr[v] > q.RowPtr[v+1] {
-			return fmt.Errorf("shard: row pointer not monotone at %d: %w", v, fault.ErrBadGraph)
-		}
-	}
-	if int(q.RowPtr[n]) != len(q.ColIdx) {
-		return fmt.Errorf("shard: row pointer ends at %d, %d column indices: %w", q.RowPtr[n], len(q.ColIdx), fault.ErrBadGraph)
-	}
-	for i, u := range q.ColIdx {
-		if u < 0 || int(u) >= n {
-			return fmt.Errorf("shard: column index %d = %d outside [0, %d): %w", i, u, n, fault.ErrBadGraph)
-		}
 	}
 	for _, o := range q.Owned {
 		if o < 0 || int(o) >= n {
@@ -365,7 +356,12 @@ func validateLoad(q *LoadRequest) error {
 // handleLayer serves POST /v1/shard/layer: merge halo rows, run exactly one
 // model layer over the local CSR, and return the owned output rows.
 func (w *Worker) handleLayer(rw http.ResponseWriter, r *http.Request) {
-	q, err := DecodeLayer(r.Body)
+	frame, err := readFrame(r.Body, r.ContentLength)
+	if err != nil {
+		w.writeMapped(rw, err)
+		return
+	}
+	q, err := decodeLayer(frame)
 	if err != nil {
 		w.writeMapped(rw, err)
 		return
@@ -411,16 +407,10 @@ func (w *Worker) handleLayer(rw http.ResponseWriter, r *http.Request) {
 	ru.next = q.Layer + 1
 	w.metrics.Layers.Add(1)
 
-	resp := LayerResponse{Cols: int32(out.Cols), Rows: make([]float32, 0, len(ru.owned)*out.Cols)}
-	for _, lid := range ru.owned {
-		resp.Rows = append(resp.Rows, out.Row(int(lid))...)
-	}
 	rw.Header().Set("Content-Type", "application/octet-stream")
-	if err := resp.Encode(rw); err != nil {
-		// Mid-body failure: the status line is gone; the client sees a
-		// truncated frame and fails over. Nothing useful to write here.
-		return
-	}
+	// A failed write leaves the client a truncated frame it fails over on;
+	// the status line is gone, so there is nothing useful to write here.
+	_, _ = rw.Write(responseFrame(out, ru.owned))
 }
 
 // handleFinish serves POST /v1/shard/finish?req=<id>: drop the run. Finish is
