@@ -76,7 +76,8 @@ race:
 
 # Tier 3: short fuzz passes over the parsers (graph edge lists, binary
 # graph decoding, feature matrices, config JSON round-trip, the /v1/infer
-# body decoder against encoding/json, the shard wire frames).
+# body decoder against encoding/json, the shard wire frames) and the
+# four-edge reduce-chain kernel against four sequential axpy passes.
 fuzz:
 	$(GO) test ./internal/graph/ -run FuzzParseEdgeList -fuzz FuzzParseEdgeList -fuzztime 20s
 	$(GO) test ./internal/graph/ -run FuzzDecode -fuzz FuzzDecode -fuzztime 20s
@@ -85,6 +86,7 @@ fuzz:
 	$(GO) test ./internal/dyn/ -run FuzzMutationDecode -fuzz FuzzMutationDecode -fuzztime 20s
 	$(GO) test ./internal/serve/ -run FuzzInferBody -fuzz FuzzInferBody -fuzztime 20s
 	$(GO) test ./internal/shard/ -run FuzzWireFrames -fuzz FuzzWireFrames -fuzztime 20s
+	$(GO) test ./internal/tensor/ -run FuzzAxpyChain4 -fuzz FuzzAxpyChain4 -fuzztime 20s
 
 # Performance tier: run the simulator, scheduler, and forward-execution
 # benchmarks with allocation stats and merge the results into the committed

@@ -132,6 +132,8 @@ func (l *gcnLayer) AccumulateEdge(acc, psrc, pdst, msg []float32, ctx EdgeContex
 	}
 }
 
+func (l *gcnLayer) edgeCoef(srcDeg, dstDeg int) float32 { return gcnNorm(srcDeg, dstDeg) }
+
 func gcnNorm(srcDeg, dstDeg int) float32 {
 	if srcDeg < 1 {
 		srcDeg = 1
@@ -445,6 +447,8 @@ func (l *ginLayer) AccumulateEdge(acc, psrc, pdst, msg []float32, ctx EdgeContex
 	}
 }
 
+func (l *ginLayer) edgeCoef(int, int) float32 { return 1 }
+
 func (l *ginLayer) Update(hself, agg []float32) []float32 { return updateAlloc(l, hself, agg) }
 
 func (l *ginLayer) UpdateInto(dst, hself, agg, scratch []float32) {
@@ -654,6 +658,8 @@ func (l *sageMeanLayer) AccumulateEdge(acc, psrc, pdst, msg []float32, ctx EdgeC
 		acc[i] += v
 	}
 }
+
+func (l *sageMeanLayer) edgeCoef(int, int) float32 { return 1 }
 
 func (l *sageMeanLayer) Update(hself, agg []float32) []float32 { return updateAlloc(l, hself, agg) }
 

@@ -176,10 +176,21 @@ func (st *execState) sizeWorkers(nw, width, updateScratch, qScratch, qAccWidth i
 	return ws
 }
 
+// scaledSum is the unexported capability of float32 layers whose
+// AccumulateEdge is exactly acc[j] += edgeCoef(srcDeg, dstDeg)·psrc[j] over
+// the whole accumulator, with psrc the prepared source row (gcn's symmetric
+// norm; gin's and gs-mean's constant 1, where 1·x == x exactly). The
+// executor folds such layers' in-edges through tensor.AxpyChain4; per-edge
+// AccumulateEdge stays their layer contract, which core.Forward drives.
+type scaledSum interface {
+	edgeCoef(srcDeg, dstDeg int) float32
+}
+
 // forwardLayer runs one layer with destination vertices fanned across up to
 // `workers` goroutines. The hot loop drives the layer's fused AccumulateEdge
-// and in-place UpdateInto kernels (or their int8 forms), so steady state
-// performs no per-vertex or per-edge allocation.
+// (or, for scaledSum layers, the four-edge chain kernel) and in-place
+// UpdateInto kernels (or their int8 forms), so steady state performs no
+// per-vertex or per-edge allocation.
 func (st *execState) forwardLayer(ctx context.Context, li int, l Layer, g *graph.Graph, h *tensor.Matrix, degrees []int32, workers int) (*tensor.Matrix, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("gnn: layer %d: %w", li, err)
@@ -225,6 +236,8 @@ func (st *execState) forwardLayer(ctx context.Context, li int, l Layer, g *graph
 			qagg, qpsrc = qa, st.qpsrc
 		}
 	}
+
+	ss, _ := l.(scaledSum)
 
 	nw := tensor.RowWorkers(n, workers)
 	qScratch, qAccWidth := 0, 0
@@ -280,13 +293,32 @@ func (st *execState) forwardLayer(ctx context.Context, li int, l Layer, g *graph
 				for i := range acc {
 					acc[i] = 0
 				}
-				var pdstRow []float32
-				if pdst != nil {
-					pdstRow = pdst.Row(v)
-				}
-				for _, u := range nbrs {
-					ectx := EdgeContext{Src: int(u), Dst: v, SrcDeg: int(degrees[u]), DstDeg: len(nbrs)}
-					l.AccumulateEdge(acc, psrc.Row(int(u)), pdstRow, wk.msg, ectx)
+				if ss != nil {
+					// In-edges fold four at a time, in CSR order, through
+					// register-resident partial sums: per element the same
+					// additions in the same order as one AccumulateEdge
+					// per edge.
+					dstDeg := len(nbrs)
+					rest := nbrs
+					for ; len(rest) >= 4; rest = rest[4:] {
+						u0, u1, u2, u3 := int(rest[0]), int(rest[1]), int(rest[2]), int(rest[3])
+						tensor.AxpyChain4(acc,
+							ss.edgeCoef(int(degrees[u0]), dstDeg), ss.edgeCoef(int(degrees[u1]), dstDeg),
+							ss.edgeCoef(int(degrees[u2]), dstDeg), ss.edgeCoef(int(degrees[u3]), dstDeg),
+							psrc.Row(u0), psrc.Row(u1), psrc.Row(u2), psrc.Row(u3))
+					}
+					for _, u := range rest {
+						tensor.Axpy(ss.edgeCoef(int(degrees[u]), dstDeg), psrc.Row(int(u)), acc)
+					}
+				} else {
+					var pdstRow []float32
+					if pdst != nil {
+						pdstRow = pdst.Row(v)
+					}
+					for _, u := range nbrs {
+						ectx := EdgeContext{Src: int(u), Dst: v, SrcDeg: int(degrees[u]), DstDeg: len(nbrs)}
+						l.AccumulateEdge(acc, psrc.Row(int(u)), pdstRow, wk.msg, ectx)
+					}
 				}
 			}
 			agg := kind.Finalize(acc, msgDim, len(nbrs))

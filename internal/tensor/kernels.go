@@ -125,6 +125,79 @@ func axpyRow(o []float32, alpha float32, brow []float32) {
 	}
 }
 
+// AxpyChain4 folds four scaled rows into acc in order, per element:
+//
+//	acc[j] = (((acc[j] + a0·x0[j]) + a1·x1[j]) + a2·x2[j]) + a3·x3[j]
+//
+// — the same float additions, in the same order, as four successive axpy
+// passes (axpyRow with a0..a3), so the result is bit-identical to them. It is
+// the host form of SCALE's linear reduce chain (§III-B): the partial sums
+// live in registers while four in-edges stream past, so acc is loaded and
+// stored once per four rows instead of once per row. Eight independent
+// lanes per block hide the add latency of each lane's four-step chain (a
+// narrower block is latency-bound); eight lanes plus the four coefficients
+// fit amd64's float registers. Every step is written `s += a*x`, the form of
+// axpyRow, so the compiler's FMA-fusion choice is the same on both paths.
+// Each x must be at least len(acc) long; only its first len(acc) elements
+// are read.
+func AxpyChain4(acc []float32, a0, a1, a2, a3 float32, x0, x1, x2, x3 []float32) {
+	n := len(acc)
+	if len(x0) < n || len(x1) < n || len(x2) < n || len(x3) < n {
+		panic(fmt.Sprintf("tensor: axpy chain rows %d, %d, %d, %d into %d", len(x0), len(x1), len(x2), len(x3), n))
+	}
+	x0, x1, x2, x3 = x0[:n], x1[:n], x2[:n], x3[:n]
+	for len(acc) >= 8 && len(x0) >= 8 && len(x1) >= 8 && len(x2) >= 8 && len(x3) >= 8 {
+		s0, s1, s2, s3 := acc[0], acc[1], acc[2], acc[3]
+		s4, s5, s6, s7 := acc[4], acc[5], acc[6], acc[7]
+		s0 += a0 * x0[0]
+		s1 += a0 * x0[1]
+		s2 += a0 * x0[2]
+		s3 += a0 * x0[3]
+		s4 += a0 * x0[4]
+		s5 += a0 * x0[5]
+		s6 += a0 * x0[6]
+		s7 += a0 * x0[7]
+		s0 += a1 * x1[0]
+		s1 += a1 * x1[1]
+		s2 += a1 * x1[2]
+		s3 += a1 * x1[3]
+		s4 += a1 * x1[4]
+		s5 += a1 * x1[5]
+		s6 += a1 * x1[6]
+		s7 += a1 * x1[7]
+		s0 += a2 * x2[0]
+		s1 += a2 * x2[1]
+		s2 += a2 * x2[2]
+		s3 += a2 * x2[3]
+		s4 += a2 * x2[4]
+		s5 += a2 * x2[5]
+		s6 += a2 * x2[6]
+		s7 += a2 * x2[7]
+		s0 += a3 * x3[0]
+		s1 += a3 * x3[1]
+		s2 += a3 * x3[2]
+		s3 += a3 * x3[3]
+		s4 += a3 * x3[4]
+		s5 += a3 * x3[5]
+		s6 += a3 * x3[6]
+		s7 += a3 * x3[7]
+		acc[0], acc[1], acc[2], acc[3] = s0, s1, s2, s3
+		acc[4], acc[5], acc[6], acc[7] = s4, s5, s6, s7
+		acc = acc[8:]
+		x0, x1, x2, x3 = x0[8:], x1[8:], x2[8:], x3[8:]
+	}
+	n = len(acc)
+	x0, x1, x2, x3 = x0[:n], x1[:n], x2[:n], x3[:n]
+	for j := range acc {
+		s := acc[j]
+		s += a0 * x0[j]
+		s += a1 * x1[j]
+		s += a2 * x2[j]
+		s += a3 * x3[j]
+		acc[j] = s
+	}
+}
+
 // dotF32 returns the float32 inner product of equal-length vectors, 4-way
 // unrolled in the bounds-check-free slice-advance form (see axpyRow). The
 // unroll keeps ONE sequential accumulator — s += t0; s += t1; … — because
@@ -149,7 +222,10 @@ func dotF32(a, b []float32) float32 {
 }
 
 // VecMatInto computes out = xᵀ·a without allocating. out must have length
-// a.Cols and must not alias x or a's backing array.
+// a.Cols and must not alias x or a's backing array. The non-zero x[k] are
+// collected in ascending k into blocks of four and folded by AxpyChain4, the
+// last partial block by axpyRow — every output element sees the same
+// additions in the same order as one axpy per non-zero x[k].
 func VecMatInto(out []float32, x []float32, a *Matrix) {
 	if a.Rows != len(x) {
 		panic(fmt.Sprintf("tensor: vecmat %d · %dx%d", len(x), a.Rows, a.Cols))
@@ -160,11 +236,23 @@ func VecMatInto(out []float32, x []float32, a *Matrix) {
 	for i := range out {
 		out[i] = 0
 	}
+	var ks [4]int
+	var cs [4]float32
+	nb := 0
 	for k, xv := range x {
 		if xv == 0 {
 			continue
 		}
-		axpyRow(out, xv, a.Row(k))
+		// nb < 4 here; the mask lets the compiler prove it.
+		ks[nb&3], cs[nb&3] = k, xv
+		nb++
+		if nb == 4 {
+			AxpyChain4(out, cs[0], cs[1], cs[2], cs[3], a.Row(ks[0]), a.Row(ks[1]), a.Row(ks[2]), a.Row(ks[3]))
+			nb = 0
+		}
+	}
+	for i, c := range cs[:nb] {
+		axpyRow(out, c, a.Row(ks[i]))
 	}
 }
 

@@ -140,6 +140,12 @@ func TestIntoKernelShapePanics(t *testing.T) {
 		"add":          func() { AddInto(make([]float32, 2), make([]float32, 2), make([]float32, 3)) },
 		"hadamard":     func() { HadamardInto(make([]float32, 2), make([]float32, 3), make([]float32, 3)) },
 		"concat":       func() { ConcatInto(make([]float32, 4), make([]float32, 2), make([]float32, 3)) },
+		// A row shorter than acc panics even when its capacity would
+		// let the reslice succeed.
+		"axpy-chain": func() {
+			x := make([]float32, 3)
+			AxpyChain4(make([]float32, 3), 1, 1, 1, 1, x, x, x[:2], x)
+		},
 	} {
 		func() {
 			defer func() {
@@ -241,6 +247,7 @@ func TestIntoKernelsAllocFree(t *testing.T) {
 		"MatMulInto-blocked": func() { MatMulInto(out, a, big) },
 		"MatMulInto-plain":   func() { MatMulInto(outSmall, a, small) },
 		"VecMatInto":         func() { VecMatInto(vec, x, big) },
+		"AxpyChain4":         func() { AxpyChain4(vec, 1, 2, 3, 4, vec, vec, vec, vec) },
 		"ParallelRows-1":     func() { ParallelRows(16, 1, func(_, lo, hi int) {}) },
 	} {
 		if allocs := testing.AllocsPerRun(20, fn); allocs != 0 {

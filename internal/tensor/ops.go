@@ -45,14 +45,13 @@ func Dot(a, b []float32) float32 {
 	return s
 }
 
-// Axpy computes y += alpha*x in place.
+// Axpy computes y += alpha*x in place with the bounds-check-free axpyRow
+// kernel.
 func Axpy(alpha float32, x, y []float32) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("tensor: axpy %d into %d", len(x), len(y)))
 	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
+	axpyRow(y, alpha, x)
 }
 
 // Add returns a+b as a new vector. Allocating wrapper over AddInto.
