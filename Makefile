@@ -2,6 +2,7 @@
 # CI and pre-commit should run at least `build` + `test` (tier 1).
 
 GO ?= go
+GOFMT ?= gofmt
 
 .PHONY: build test lint conform race fuzz bce bench bench-serve bench-shard bench-dyn bench-smoke serve-smoke shard-smoke chaos-smoke dyn-smoke verify
 
@@ -17,8 +18,14 @@ test: build
 # the CLIs must return typed errors, never panic or exit directly. Interior
 # kernels (tensor/gnn/core hot paths) are exempt by design. Intentional
 # panics carry a `lint:allow-panic` marker on the same or preceding line.
+# Every Go file must also be gofmt-clean.
 lint:
 	$(GO) vet ./...
+	@unformatted=$$($(GOFMT) -l .); \
+	if [ -n "$$unformatted" ]; then \
+	    echo "lint: files not gofmt-formatted (run gofmt -w):"; \
+	    echo "$$unformatted"; exit 1; \
+	fi
 	@bad=$$(grep -rn --include='*.go' -e 'panic(' -e 'log\.Fatal' \
 	        internal/bench internal/dse internal/serve internal/shard internal/baseline cmd \
 	    | grep -v '_test\.go:' \

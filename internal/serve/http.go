@@ -13,6 +13,7 @@ import (
 	"scale"
 	"scale/internal/dyn"
 	"scale/internal/fault"
+	"scale/internal/gnn"
 	"scale/internal/graph"
 	"scale/internal/shard"
 	"scale/internal/tensor"
@@ -51,7 +52,7 @@ type inferBody struct {
 
 	// feat is the backing array of Features in a body decodeInferBody
 	// returned: the rows are consecutive subslices of it, so once
-	// validateShardBody has checked each is Dims[0] wide, feat is the
+	// Server.check has found each is Dims[0] wide, feat is the
 	// NumVertices × Dims[0] feature matrix as it stands.
 	feat []float32
 }
@@ -200,26 +201,36 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 	}
 }
 
-// handleInfer serves POST /v1/infer: admission queue → session cache →
-// micro-batcher → batched forward → per-request embeddings.
-func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required", "usage")
-		return
+// admit wraps an API endpoint in the admission steps every one shares: POST
+// only (405), refused while draining (503 + Retry-After), and one slot of
+// the bounded admission queue or shed load (429 + Retry-After).
+func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			writeError(w, http.StatusMethodNotAllowed, "POST required", "usage")
+			return
+		}
+		if !s.begin() {
+			s.writeMapped(w, errDraining)
+			return
+		}
+		defer s.end()
+		if !s.queue.tryAcquire() {
+			s.metrics.QueueRejections.Add(1)
+			w.Header().Set("Retry-After", retrySeconds(s.cfg.RetryAfter))
+			writeError(w, http.StatusTooManyRequests, "admission queue full", "over_capacity")
+			return
+		}
+		defer s.queue.release()
+		h(w, r)
 	}
-	if !s.begin() {
-		s.writeMapped(w, errDraining)
-		return
-	}
-	defer s.end()
-	if !s.queue.tryAcquire() {
-		s.metrics.QueueRejections.Add(1)
-		w.Header().Set("Retry-After", retrySeconds(s.cfg.RetryAfter))
-		writeError(w, http.StatusTooManyRequests, "admission queue full", "over_capacity")
-		return
-	}
-	defer s.queue.release()
+}
 
+// handleInfer serves POST /v1/infer: decode the body, check it once, route
+// it (infer), and answer. Every route sees a body that already passed the
+// same checks, so a malformed body gets the same 400 whichever executor it
+// would have reached.
+func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	var body inferBody
 	raw, err := io.ReadAll(r.Body)
 	if err == nil {
@@ -229,13 +240,10 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad JSON body: "+err.Error(), "bad_input")
 		return
 	}
-	if body.NumVertices > s.cfg.MaxVertices {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("request has %d vertices, server caps at %d", body.NumVertices, s.cfg.MaxVertices),
-			"bad_input")
+	if err := s.check(&body); err != nil {
+		s.writeMapped(w, err)
 		return
 	}
-
 	// Normalize the precision before the cache lookup so "", the server
 	// default, and an explicit "fp32" all share one session. Unknown
 	// values flow into NewSessionPrecision, whose typed error maps to 400.
@@ -246,119 +254,124 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	if precision == "" {
 		precision = "fp32"
 	}
-	// Dynamic-graph and sampled requests run directly: the dynamic vertex
-	// set is the server's own, and per-request sampling seeds bind to
-	// request-local vertex ids — disjoint-union micro-batching (which
-	// shifts ids) and shard routing do not apply to either.
-	if body.Graph == "dynamic" || body.SampleFanout > 0 {
-		if body.Graph != "" && body.Graph != "dynamic" {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown graph source %q", body.Graph), "bad_input")
-			return
-		}
-		s.handleInferDirect(w, r, body, precision)
-		return
+	ctx := r.Context()
+	if body.TimeoutMS > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(body.TimeoutMS)*time.Millisecond)
+		defer cancel()
 	}
-	if body.Graph != "" {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown graph source %q", body.Graph), "bad_input")
-		return
-	}
-	if s.cfg.ShardPool != nil && body.NumVertices >= s.cfg.ShardMinVertices {
-		s.handleInferSharded(w, r, body, precision)
-		return
-	}
-	s.inferLocal(w, r, body, precision)
-}
-
-// inferLocal serves one infer request on this process: session cache →
-// micro-batcher → batched forward. It is the non-sharded path of
-// handleInfer and the degraded-mode fallback of the sharded one.
-func (s *Server) inferLocal(w http.ResponseWriter, r *http.Request, body inferBody, precision string) {
-	entry, err := s.session(body.Model, body.Dims, precision)
+	rows, err := s.infer(ctx, &body, precision)
 	if err != nil {
 		s.writeMapped(w, err)
 		return
-	}
-	req := scale.InferRequest{NumVertices: body.NumVertices, Edges: body.Edges, Features: body.Features}
-	// Validate before batching: a malformed request earns its 400 here and
-	// never poisons batch-mates.
-	if err := entry.sess.Validate(req); err != nil {
-		entry.refs.Done()
-		s.writeMapped(w, err)
-		return
-	}
-	ctx := r.Context()
-	cancel := func() {}
-	if body.TimeoutMS > 0 {
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(body.TimeoutMS)*time.Millisecond)
-	}
-	defer cancel()
-
-	p := &pending{req: req, ctx: ctx, done: make(chan batchResult, 1)}
-	entry.b.submit(p)
-	entry.refs.Done()
-
-	select {
-	case res := <-p.done:
-		if res.err != nil {
-			s.writeMapped(w, res.err)
-			return
-		}
-		writeJSON(w, http.StatusOK, inferResponse{Model: entry.sess.Model(), Precision: entry.sess.Precision(), Embeddings: res.rows})
-	case <-ctx.Done():
-		s.writeMapped(w, ctx.Err())
-	}
-}
-
-// handleInferSharded serves an infer request over the shard worker tier:
-// the graph is materialized, partitioned, and fanned across the pool's
-// workers layer by layer. The response shape is exactly handleInfer's local
-// path — at fp32 the two are byte-identical (TestShardedServingGolden) —
-// and the front tier in the healthy case never builds a model: weights live
-// only on workers.
-//
-// Degraded mode: when the pool has no live workers (every breaker open), or
-// the pass fails for an infrastructure reason retrying cannot fix here, the
-// request falls back to local single-process inference instead of failing —
-// fp32 answers are bit-identical either way, so the client only sees the
-// difference in /healthz and the scale_serve_degraded gauge.
-func (s *Server) handleInferSharded(w http.ResponseWriter, r *http.Request, body inferBody, precision string) {
-	if err := validateShardBody(&body); err != nil {
-		s.writeMapped(w, err)
-		return
-	}
-	if s.cfg.ShardPool.Degraded() {
-		s.serveDegraded(w, r, body, precision)
-		return
-	}
-	g, x := body.graphAndFeatures()
-
-	ctx := r.Context()
-	cancel := func() {}
-	if body.TimeoutMS > 0 {
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(body.TimeoutMS)*time.Millisecond)
-	}
-	defer cancel()
-
-	out, _, err := s.cfg.ShardPool.Run(ctx, shard.SessionSpec{Model: body.Model, Dims: body.Dims, Precision: precision}, g, x)
-	if err != nil {
-		if fallbackEligible(err) {
-			s.serveDegraded(w, r, body, precision)
-			return
-		}
-		s.writeMapped(w, err)
-		return
-	}
-	rows := make([][]float32, out.Rows)
-	for v := range rows {
-		rows[v] = out.Row(v)
 	}
 	writeJSON(w, http.StatusOK, inferResponse{Model: body.Model, Precision: precision, Embeddings: rows})
 }
 
-// serveDegraded answers one sharded-path request on the local session cache.
-func (s *Server) serveDegraded(w http.ResponseWriter, r *http.Request, body inferBody, precision string) {
-	s.metrics.DegradedRequests.Add(1)
-	s.inferLocal(w, r, body, precision)
+// badRequest is a 400 bad_input answer whose text is the whole message.
+type badRequest string
+
+func (e badRequest) Error() string        { return string(e) }
+func (e badRequest) Is(target error) bool { return target == fault.ErrBadConfig }
+
+// check is every test a body must pass before it is routed: the vertex cap,
+// the graph source, and for a request-carried graph its dims chain and its
+// shape (scale.InferRequest.Validate). A short dims chain answers with
+// gnn.NewModel's own refusal, the one a session would give.
+func (s *Server) check(body *inferBody) error {
+	if body.NumVertices > s.cfg.MaxVertices {
+		return badRequest(fmt.Sprintf("request has %d vertices, server caps at %d", body.NumVertices, s.cfg.MaxVertices))
+	}
+	switch body.Graph {
+	case "":
+	case "dynamic":
+		if s.cfg.Dynamic == nil {
+			return badRequest("server has no dynamic graph (-dynamic)")
+		}
+		return nil
+	default:
+		return badRequest(fmt.Sprintf("unknown graph source %q", body.Graph))
+	}
+	if len(body.Dims) < 2 {
+		_, err := gnn.NewModel(body.Model, body.Dims, 1)
+		return err
+	}
+	req := scale.InferRequest{NumVertices: body.NumVertices, Edges: body.Edges, Features: body.Features}
+	return req.Validate(body.Dims[0])
+}
+
+// infer runs one checked body and returns its final-layer embeddings. The
+// routing policy, in order:
+//
+//   - A plain request-carried graph (no sampling) with at least
+//     ShardMinVertices vertices runs on the shard tier. When the pool is
+//     degraded (every breaker open), or the pass fails for an infrastructure
+//     reason (fallbackEligible), it runs locally instead, counted in
+//     DegradedRequests; fp32 answers are bit-identical either way.
+//   - Any other plain graph joins the session's micro-batcher.
+//   - Dynamic-graph and sampled bodies run directly on the session
+//     (InferGraph / InferSampled): the dynamic vertex set is the server's,
+//     and sampling seeds bind to request-local vertex ids, so neither may be
+//     shifted into a disjoint-union batch.
+//
+// The session ref is held until the answer is in.
+func (s *Server) infer(ctx context.Context, body *inferBody, precision string) ([][]float32, error) {
+	plain := body.Graph == "" && body.SampleFanout == 0
+	if plain && s.cfg.ShardPool != nil && body.NumVertices >= s.cfg.ShardMinVertices {
+		if !s.cfg.ShardPool.Degraded() {
+			g, x := body.graphAndFeatures()
+			out, _, err := s.cfg.ShardPool.Run(ctx, shard.SessionSpec{Model: body.Model, Dims: body.Dims, Precision: precision}, g, x)
+			if err == nil {
+				rows := make([][]float32, out.Rows)
+				for v := range rows {
+					rows[v] = out.Row(v)
+				}
+				return rows, nil
+			}
+			if !fallbackEligible(err) {
+				return nil, err
+			}
+		}
+		s.metrics.DegradedRequests.Add(1)
+	}
+
+	entry, err := s.session(body.Model, body.Dims, precision)
+	if err != nil {
+		return nil, err
+	}
+	defer entry.refs.Done()
+	if plain {
+		req := scale.InferRequest{NumVertices: body.NumVertices, Edges: body.Edges, Features: body.Features}
+		p := &pending{req: req, ctx: ctx, done: make(chan batchResult, 1)}
+		entry.b.submit(p)
+		select {
+		case res := <-p.done:
+			return res.rows, res.err
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+
+	var g *graph.Graph
+	var x *tensor.Matrix
+	if body.Graph == "dynamic" {
+		s.metrics.DynRequests.Add(1)
+		if g, x, err = s.cfg.Dynamic.View(); err != nil {
+			return nil, err
+		}
+	} else {
+		g, x = body.graphAndFeatures()
+	}
+	if body.SampleFanout == 0 {
+		return entry.sess.InferGraph(ctx, g, x, s.cfg.SampleWorkers)
+	}
+	s.metrics.SampledRequests.Add(1)
+	sampler := dyn.Sampler{Fanout: body.SampleFanout, Seed: body.SampleSeed}
+	layers, err := sampler.Sample(g, entry.sess.NumLayers())
+	if err != nil {
+		return nil, err
+	}
+	return entry.sess.InferSampled(ctx, layers, x, s.cfg.SampleWorkers)
 }
 
 // fallbackEligible decides whether a failed sharded pass may be retried
@@ -382,7 +395,7 @@ func fallbackEligible(err error) bool {
 	return true
 }
 
-// graphAndFeatures builds a validated body's graph and adopts its feature
+// graphAndFeatures builds a checked body's graph and adopts its feature
 // rows' backing array as the input matrix, with no per-row copy.
 func (body *inferBody) graphAndFeatures() (*graph.Graph, *tensor.Matrix) {
 	b := graph.NewBuilder(body.NumVertices)
@@ -392,52 +405,9 @@ func (body *inferBody) graphAndFeatures() (*graph.Graph, *tensor.Matrix) {
 	return b.Build("user"), &tensor.Matrix{Rows: body.NumVertices, Cols: body.Dims[0], Data: body.feat}
 }
 
-// validateShardBody mirrors scale.Session.Validate for the sharded path,
-// which has no local session to ask: same checks, same sentinels, so both
-// paths answer identical 400s.
-func validateShardBody(body *inferBody) error {
-	if body.NumVertices < 1 {
-		return fmt.Errorf("scale: need at least one vertex, got %d: %w", body.NumVertices, fault.ErrBadGraph)
-	}
-	if len(body.Dims) < 2 {
-		return fmt.Errorf("scale: dims chain has %d entries, need ≥2: %w", len(body.Dims), fault.ErrBadConfig)
-	}
-	for i, e := range body.Edges {
-		if e[0] < 0 || e[0] >= body.NumVertices || e[1] < 0 || e[1] >= body.NumVertices {
-			return fmt.Errorf("scale: edge %d (%d→%d) outside [0, %d): %w", i, e[0], e[1], body.NumVertices, fault.ErrBadGraph)
-		}
-	}
-	if len(body.Features) != body.NumVertices {
-		return fmt.Errorf("scale: %d feature rows for %d vertices: %w", len(body.Features), body.NumVertices, fault.ErrBadShape)
-	}
-	for v, row := range body.Features {
-		if len(row) != body.Dims[0] {
-			return fmt.Errorf("scale: feature row %d has %d values, model wants %d: %w", v, len(row), body.Dims[0], fault.ErrBadShape)
-		}
-	}
-	return nil
-}
-
 // handleSimulate serves POST /v1/simulate: one timing-model run of (model,
 // dataset) on the shared simulator, reported as a scale.Report.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required", "usage")
-		return
-	}
-	if !s.begin() {
-		s.writeMapped(w, errDraining)
-		return
-	}
-	defer s.end()
-	if !s.queue.tryAcquire() {
-		s.metrics.QueueRejections.Add(1)
-		w.Header().Set("Retry-After", retrySeconds(s.cfg.RetryAfter))
-		writeError(w, http.StatusTooManyRequests, "admission queue full", "over_capacity")
-		return
-	}
-	defer s.queue.release()
-
 	var body simulateBody
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
 		writeError(w, http.StatusBadRequest, "bad JSON body: "+err.Error(), "bad_input")
@@ -511,11 +481,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writeDynMetrics(w, s.cfg.Dynamic.Stats())
 	}
 	if s.cfg.ShardPool != nil {
-		degraded := 0
+		degraded := 0.0
 		if s.cfg.ShardPool.Degraded() {
 			degraded = 1
 		}
-		fmt.Fprintf(w, "# HELP scale_serve_degraded Whether the shard pool has no live workers and infers run on the local fallback.\n# TYPE scale_serve_degraded gauge\nscale_serve_degraded %d\n", degraded)
+		writeGauge(w, "scale_serve_degraded", "Whether the shard pool has no live workers and infers run on the local fallback.", degraded)
 		s.cfg.ShardPool.WritePrometheus(w)
 	}
 }

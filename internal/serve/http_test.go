@@ -12,6 +12,7 @@ import (
 
 	"scale"
 	"scale/internal/bench/faultinject"
+	"scale/internal/shard"
 )
 
 func testSim(t testing.TB) *scale.Simulator {
@@ -116,6 +117,7 @@ func TestStatusMapping(t *testing.T) {
 		{"unknown accelerator (ErrBadConfig)", Config{}, "POST", "/v1/simulate", simulateBody{Model: "gcn", Dataset: "cora", Accel: "nope"}, 400, "bad_input"},
 		{"infer GET", Config{}, "GET", "/v1/infer", nil, 405, "usage"},
 		{"simulate GET", Config{}, "GET", "/v1/simulate", nil, 405, "usage"},
+		{"mutate GET", Config{}, "GET", "/v1/mutate", nil, 405, "usage"},
 		{"bad JSON", Config{}, "POST", "/v1/infer", "{not json", 400, "bad_input"},
 		{"unknown model (ErrBadConfig)", Config{}, "POST", "/v1/infer", badModel, 400, "bad_input"},
 		{"edge out of range (ErrBadGraph)", Config{}, "POST", "/v1/infer", badEdge, 400, "bad_input"},
@@ -140,6 +142,78 @@ func TestStatusMapping(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestInferBadBodySameAnswerOnEveryPath sends each malformed body to the
+// micro-batched, sampled and sharded routes. The body is checked once,
+// before a route is chosen, so all three answer the same status, kind and
+// error text.
+func TestInferBadBodySameAnswerOnEveryPath(t *testing.T) {
+	sim := testSim(t)
+	pool, err := shard.NewPool(shard.PoolConfig{Workers: startShardWorkers(t, sim, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := newTestServer(t, Config{Sim: sim})
+	sharded := newTestServer(t, Config{Sim: sim, ShardPool: pool})
+
+	noVertices := validInfer()
+	noVertices.NumVertices, noVertices.Edges, noVertices.Features = 0, nil, nil
+	shortDims := validInfer()
+	shortDims.Dims = []int{2}
+	badEdge := validInfer()
+	badEdge.Edges = [][2]int{{0, 9}}
+	missingRows := validInfer()
+	missingRows.Features = missingRows.Features[:2]
+	raggedRow := validInfer()
+	raggedRow.Features = [][]float32{{1, 0}, {0, 1}, {1, 1, 1}}
+
+	for _, tc := range []struct {
+		name string
+		body inferBody
+	}{
+		{"0 vertices", noVertices},
+		{"dims of length 1", shortDims},
+		{"edge out of range", badEdge},
+		{"missing feature rows", missingRows},
+		{"ragged feature row", raggedRow},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sampled := tc.body
+			sampled.SampleFanout, sampled.SampleSeed = 2, 7
+			type answer struct {
+				code int
+				err  errorResponse
+			}
+			paths := map[string]answer{}
+			for name, rec := range map[string]*httptest.ResponseRecorder{
+				"local":   do(t, local, "POST", "/v1/infer", tc.body),
+				"sampled": do(t, local, "POST", "/v1/infer", sampled),
+				"sharded": do(t, sharded, "POST", "/v1/infer", tc.body),
+			} {
+				paths[name] = answer{rec.Code, decodeError(t, rec)}
+			}
+			want := paths["local"]
+			if want.code != http.StatusBadRequest || want.err.Kind != "bad_input" {
+				t.Fatalf("local answered %d %+v, want 400 bad_input", want.code, want.err)
+			}
+			for _, name := range []string{"sampled", "sharded"} {
+				if got := paths[name]; got != want {
+					t.Errorf("%s answered %d %+v; local answered %d %+v", name, got.code, got.err, want.code, want.err)
+				}
+			}
+		})
+	}
+	// The sharded server really ran the shard tier, with no local fallback.
+	if rec := do(t, sharded, "POST", "/v1/infer", validInfer()); rec.Code != http.StatusOK {
+		t.Fatalf("valid sharded infer = %d: %s", rec.Code, rec.Body.String())
+	}
+	if n := pool.Metrics().Requests.Load(); n != 1 {
+		t.Fatalf("shard pool ran %d passes, want 1", n)
+	}
+	if n := sharded.Metrics().DegradedRequests.Load(); n != 0 {
+		t.Fatalf("%d degraded requests, want 0", n)
 	}
 }
 
@@ -198,15 +272,21 @@ func TestDrain503(t *testing.T) {
 	if rec := do(t, s, "GET", "/healthz", nil); rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("healthz during drain = %d", rec.Code)
 	}
-	rec := do(t, s, "POST", "/v1/infer", validInfer())
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("infer during drain = %d", rec.Code)
-	}
-	if rec.Header().Get("Retry-After") == "" {
-		t.Fatal("drain refusal must carry Retry-After")
-	}
-	if e := decodeError(t, rec); e.Kind != "draining" {
-		t.Fatalf("kind = %q", e.Kind)
+	for path, body := range map[string]any{
+		"/v1/infer":    validInfer(),
+		"/v1/simulate": simulateBody{Model: "gcn", Dataset: "cora"},
+		"/v1/mutate":   mutateBody{Ops: []mutateOp{{Op: "add_edge", Src: 0, Dst: 1}}},
+	} {
+		rec := do(t, s, "POST", path, body)
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("%s during drain = %d", path, rec.Code)
+		}
+		if rec.Header().Get("Retry-After") == "" {
+			t.Fatalf("%s drain refusal must carry Retry-After", path)
+		}
+		if e := decodeError(t, rec); e.Kind != "draining" {
+			t.Fatalf("%s kind = %q", path, e.Kind)
+		}
 	}
 	s.Close()
 	s.Close() // idempotent

@@ -169,22 +169,19 @@ func (m *Metrics) Render(w io.Writer, liveSessions int) {
 		fmt.Fprintf(w, "scale_serve_requests_total{endpoint=%q,code=%q} %d\n", endpoint, code, v)
 	}
 
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("scale_serve_batches_total", "Micro-batches executed.", m.Batches.Load())
-	counter("scale_serve_batch_requests_total", "Requests carried by micro-batches.", m.BatchedRequests.Load())
-	counter("scale_serve_queue_rejections_total", "Requests rejected by the admission queue (429).", m.QueueRejections.Load())
-	counter("scale_serve_degraded_requests_total", "Sharded-path requests served by the local single-process fallback.", m.DegradedRequests.Load())
-	counter("scale_serve_panics_contained_total", "Backend panics isolated into 500 responses.", m.PanicsContained.Load())
-	counter("scale_serve_sessions_created_total", "Sessions constructed by the cache.", m.SessionsCreated.Load())
-	counter("scale_serve_sessions_evicted_total", "Sessions evicted by the cache.", m.SessionsEvicted.Load())
-	counter("scale_serve_mutation_batches_total", "Accepted /v1/mutate batches.", m.MutationBatches.Load())
-	counter("scale_serve_mutation_ops_total", "Individual graph deltas applied via /v1/mutate.", m.MutationOps.Load())
-	counter("scale_serve_mutations_rejected_total", "Mutation batches refused (bad input or mid-compaction).", m.MutationsRejected.Load())
-	counter("scale_serve_dyn_requests_total", "Infer requests served from the dynamic graph.", m.DynRequests.Load())
-	counter("scale_serve_sampled_requests_total", "Fixed-fanout sampled infer requests.", m.SampledRequests.Load())
-	fmt.Fprintf(w, "# HELP scale_serve_sessions_live Sessions currently cached.\n# TYPE scale_serve_sessions_live gauge\nscale_serve_sessions_live %d\n", liveSessions)
+	writeCounter(w, "scale_serve_batches_total", "Micro-batches executed.", m.Batches.Load())
+	writeCounter(w, "scale_serve_batch_requests_total", "Requests carried by micro-batches.", m.BatchedRequests.Load())
+	writeCounter(w, "scale_serve_queue_rejections_total", "Requests rejected by the admission queue (429).", m.QueueRejections.Load())
+	writeCounter(w, "scale_serve_degraded_requests_total", "Sharded-path requests served by the local single-process fallback.", m.DegradedRequests.Load())
+	writeCounter(w, "scale_serve_panics_contained_total", "Backend panics isolated into 500 responses.", m.PanicsContained.Load())
+	writeCounter(w, "scale_serve_sessions_created_total", "Sessions constructed by the cache.", m.SessionsCreated.Load())
+	writeCounter(w, "scale_serve_sessions_evicted_total", "Sessions evicted by the cache.", m.SessionsEvicted.Load())
+	writeCounter(w, "scale_serve_mutation_batches_total", "Accepted /v1/mutate batches.", m.MutationBatches.Load())
+	writeCounter(w, "scale_serve_mutation_ops_total", "Individual graph deltas applied via /v1/mutate.", m.MutationOps.Load())
+	writeCounter(w, "scale_serve_mutations_rejected_total", "Mutation batches refused (bad input or mid-compaction).", m.MutationsRejected.Load())
+	writeCounter(w, "scale_serve_dyn_requests_total", "Infer requests served from the dynamic graph.", m.DynRequests.Load())
+	writeCounter(w, "scale_serve_sampled_requests_total", "Fixed-fanout sampled infer requests.", m.SampledRequests.Load())
+	writeGauge(w, "scale_serve_sessions_live", "Sessions currently cached.", float64(liveSessions))
 
 	m.mu.Lock()
 	sessKeys := make([]string, 0, len(m.sessions))
@@ -222,4 +219,14 @@ func (m *Metrics) Render(w io.Writer, liveSessions int) {
 		fmt.Fprintf(w, "scale_serve_request_seconds_sum{endpoint=%q} %g\n", endpoint, float64(h.sumNs.Load())/1e9)
 		fmt.Fprintf(w, "scale_serve_request_seconds_count{endpoint=%q} %d\n", endpoint, h.samples.Load())
 	}
+}
+
+// writeCounter renders one unlabelled counter with its HELP and TYPE lines.
+func writeCounter(w io.Writer, name, help string, v int64) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+}
+
+// writeGauge renders one unlabelled gauge with its HELP and TYPE lines.
+func writeGauge(w io.Writer, name, help string, v float64) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
 }

@@ -120,10 +120,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// sessionEntry is one cached session plus its batcher. refs counts handlers
-// currently submitting into the batcher: eviction removes the entry from the
-// map (no new refs) and only closes the batcher after refs drain, so a send
-// never races a close.
+// sessionEntry is one cached session plus its batcher. refs counts infer
+// requests using the session, each until its answer is in: eviction removes
+// the entry from the map (no new refs) and only closes the batcher after
+// refs drain, so a send never races a close.
 type sessionEntry struct {
 	key     string
 	sess    *scale.Session
@@ -161,9 +161,9 @@ func New(cfg Config) *Server {
 	}
 	s.queue = newQueue(s.cfg.QueueDepth)
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/infer", s.instrument("infer", s.handleInfer))
-	s.mux.HandleFunc("/v1/mutate", s.instrument("mutate", s.handleMutate))
-	s.mux.HandleFunc("/v1/simulate", s.instrument("simulate", s.handleSimulate))
+	s.mux.HandleFunc("/v1/infer", s.instrument("infer", s.admit(s.handleInfer)))
+	s.mux.HandleFunc("/v1/mutate", s.instrument("mutate", s.admit(s.handleMutate)))
+	s.mux.HandleFunc("/v1/simulate", s.instrument("simulate", s.admit(s.handleSimulate)))
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	return s
@@ -240,7 +240,7 @@ func (s *Server) LiveSessions() int {
 // session returns the cached entry for (model, dims, precision),
 // constructing it (and evicting the least-recently-used entry if the cache
 // is full) on miss. On success the entry holds one ref for the caller, who
-// must release it with entry.refs.Done() once its submit has completed.
+// must release it with entry.refs.Done() once it has its answer.
 func (s *Server) session(model string, dims []int, precision string) (*sessionEntry, error) {
 	key := sessionKey(model, dims, precision)
 	s.mu.Lock()

@@ -463,13 +463,19 @@ func (w *Worker) handleHealthz(rw http.ResponseWriter, r *http.Request) {
 
 func (w *Worker) handleMetrics(rw http.ResponseWriter, r *http.Request) {
 	rw.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	counter := func(name, help string, v int64) {
+		fmt.Fprintf(rw, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+	}
+	gauge := func(name, help string, v int64) {
+		fmt.Fprintf(rw, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
+	}
 	m := w.metrics
-	fmt.Fprintf(rw, "# TYPE scale_shard_loads_total counter\nscale_shard_loads_total %d\n", m.Loads.Load())
-	fmt.Fprintf(rw, "# TYPE scale_shard_layers_total counter\nscale_shard_layers_total %d\n", m.Layers.Load())
-	fmt.Fprintf(rw, "# TYPE scale_shard_finishes_total counter\nscale_shard_finishes_total %d\n", m.Finishes.Load())
-	fmt.Fprintf(rw, "# TYPE scale_shard_halo_rows_merged_total counter\nscale_shard_halo_rows_merged_total %d\n", m.HaloRowsMerged.Load())
-	fmt.Fprintf(rw, "# TYPE scale_shard_runs_expired_total counter\nscale_shard_runs_expired_total %d\n", m.RunsExpired.Load())
-	fmt.Fprintf(rw, "# TYPE scale_shard_rejections_total counter\nscale_shard_rejections_total %d\n", m.Rejections.Load())
-	fmt.Fprintf(rw, "# TYPE scale_shard_panics_contained_total counter\nscale_shard_panics_contained_total %d\n", m.PanicsContained.Load())
-	fmt.Fprintf(rw, "# TYPE scale_shard_runs gauge\nscale_shard_runs %d\n", w.LiveRuns())
+	counter("scale_shard_loads_total", "Shard runs loaded (including failover reloads).", m.Loads.Load())
+	counter("scale_shard_layers_total", "Model layers advanced across all shard runs.", m.Layers.Load())
+	counter("scale_shard_finishes_total", "Shard runs released by their front tier.", m.Finishes.Load())
+	counter("scale_shard_halo_rows_merged_total", "Halo feature rows merged into shard runs between layers.", m.HaloRowsMerged.Load())
+	counter("scale_shard_runs_expired_total", "Shard runs evicted after RunTTL without a call.", m.RunsExpired.Load())
+	counter("scale_shard_rejections_total", "Loads refused because the run table was full (429).", m.Rejections.Load())
+	counter("scale_shard_panics_contained_total", "Handler panics isolated into 500 responses.", m.PanicsContained.Load())
+	gauge("scale_shard_runs", "Shard runs currently loaded.", int64(w.LiveRuns()))
 }

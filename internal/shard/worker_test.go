@@ -258,6 +258,31 @@ func TestWorkerContract(t *testing.T) {
 	}
 }
 
+// Every series on the worker's /metrics page carries its # HELP line
+// directly before its # TYPE line, as the Prometheus text format expects.
+func TestWorkerMetricsHelp(t *testing.T) {
+	w := NewWorker(WorkerConfig{Sim: newTestSim(t)})
+	defer w.Close()
+	rec := httptest.NewRecorder()
+	w.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	lines := strings.Split(rec.Body.String(), "\n")
+	types := 0
+	for i, line := range lines {
+		name, ok := strings.CutPrefix(line, "# TYPE ")
+		if !ok {
+			continue
+		}
+		name, _, _ = strings.Cut(name, " ")
+		types++
+		if i == 0 || !strings.HasPrefix(lines[i-1], "# HELP "+name+" ") {
+			t.Errorf("# TYPE %s is not preceded by # HELP %s", name, name)
+		}
+	}
+	if types != 8 {
+		t.Fatalf("%d # TYPE lines, want 8:\n%s", types, rec.Body.String())
+	}
+}
+
 // Cost estimates ride along with a real pool run: the plan the pool returns
 // feeds EstimateComm directly.
 func TestPoolPlanFeedsEstimate(t *testing.T) {

@@ -205,7 +205,8 @@ func (sess *Session) forward(ctx context.Context, graphs []*graph.Graph, x *tens
 }
 
 // validateMatrix checks a materialized (graph, features) pair against the
-// session's input dimension with the same typed sentinels as validate.
+// session's input dimension with the same typed sentinels as
+// InferRequest.Validate.
 func (sess *Session) validateMatrix(g *graph.Graph, x *tensor.Matrix) error {
 	if g.NumVertices() < 1 {
 		return fmt.Errorf("scale: need at least one vertex, got %d: %w", g.NumVertices(), fault.ErrBadGraph)
@@ -237,9 +238,12 @@ type InferRequest struct {
 	Features    [][]float32
 }
 
-// validate checks one request against the session's input dimension, wrapping
-// the fault sentinels exactly like Simulator.Infer always has.
-func (sess *Session) validate(r InferRequest) error {
+// Validate checks the request's shape for a model whose input dimension is
+// inDim: at least one vertex, every edge endpoint in range, one feature row
+// per vertex, each inDim wide. Failures wrap the fault sentinels
+// (ErrBadGraph, ErrBadShape), so a serving front can check a request once,
+// whichever executor it is routed to next.
+func (r InferRequest) Validate(inDim int) error {
 	if r.NumVertices < 1 {
 		return fmt.Errorf("scale: need at least one vertex, got %d: %w", r.NumVertices, fault.ErrBadGraph)
 	}
@@ -252,19 +256,16 @@ func (sess *Session) validate(r InferRequest) error {
 		return fmt.Errorf("scale: %d feature rows for %d vertices: %w", len(r.Features), r.NumVertices, fault.ErrBadShape)
 	}
 	for v, row := range r.Features {
-		if len(row) != sess.dims[0] {
-			return fmt.Errorf("scale: feature row %d has %d values, model wants %d: %w", v, len(row), sess.dims[0], fault.ErrBadShape)
+		if len(row) != inDim {
+			return fmt.Errorf("scale: feature row %d has %d values, model wants %d: %w", v, len(row), inDim, fault.ErrBadShape)
 		}
 	}
 	return nil
 }
 
-// Validate reports whether req is a well-formed input for this session
-// (vertex ids in range, feature matrix matching the graph and the model's
-// input dimension). The serving layer calls it before admitting a request to
-// a batch, so one malformed request gets its 400 without poisoning
-// batch-mates.
-func (sess *Session) Validate(req InferRequest) error { return sess.validate(req) }
+// Validate reports whether req is a well-formed input for this session:
+// req.Validate at the session's input dimension.
+func (sess *Session) Validate(req InferRequest) error { return req.Validate(sess.dims[0]) }
 
 // Infer runs functional inference over one graph. See Simulator.Infer, which
 // is now a thin wrapper over a throwaway Session.
@@ -299,7 +300,7 @@ func (sess *Session) InferBatch(ctx context.Context, reqs []InferRequest) ([][][
 	}
 	total := 0
 	for i, r := range reqs {
-		if err := sess.validate(r); err != nil {
+		if err := r.Validate(sess.dims[0]); err != nil {
 			if len(reqs) > 1 {
 				return nil, fmt.Errorf("scale: batch request %d: %w", i, err)
 			}
