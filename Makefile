@@ -4,7 +4,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test lint conform race fuzz bce bench bench-serve bench-shard bench-dyn bench-smoke serve-smoke shard-smoke chaos-smoke dyn-smoke verify
+.PHONY: build test lint conform race fuzz bce bench-smoke serve-smoke shard-smoke chaos-smoke dyn-smoke verify
 
 # Tier 1: everything compiles and the full test suite passes.
 build:
@@ -27,7 +27,7 @@ lint:
 	    echo "$$unformatted"; exit 1; \
 	fi
 	@bad=$$(grep -rn --include='*.go' -e 'panic(' -e 'log\.Fatal' \
-	        internal/bench internal/dse internal/serve internal/shard internal/baseline cmd \
+	        internal/bench internal/dse internal/serve internal/shard internal/obs internal/fault/httpfault internal/baseline cmd \
 	    | grep -v '_test\.go:' \
 	    | grep -v 'lint:allow-panic'); \
 	if [ -n "$$bad" ]; then \
@@ -94,41 +94,6 @@ fuzz:
 	$(GO) test ./internal/serve/ -run FuzzInferBody -fuzz FuzzInferBody -fuzztime 20s
 	$(GO) test ./internal/shard/ -run FuzzWireFrames -fuzz FuzzWireFrames -fuzztime 20s
 	$(GO) test ./internal/tensor/ -run FuzzAxpyChain4 -fuzz FuzzAxpyChain4 -fuzztime 20s
-
-# Performance tier: run the simulator, scheduler, and forward-execution
-# benchmarks with allocation stats and merge the results into the committed
-# perf-trajectory file (BENCH_pr3.json). Override the label to record a new
-# snapshot:
-#   make bench BENCH_LABEL=after BENCH_COUNT=5
-BENCH_COUNT ?= 5
-BENCH_LABEL ?= after
-BENCH_OUT   ?= BENCH_pr3.json
-bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimulate|BenchmarkSchedule|BenchmarkForward' \
-		-benchmem -count $(BENCH_COUNT) \
-		./internal/bench ./internal/core ./internal/sched ./internal/gnn | \
-		$(GO) run ./cmd/scale-benchjson -label $(BENCH_LABEL) -out $(BENCH_OUT)
-
-# Serving-performance tier: the micro-batched vs one-at-a-time serve
-# throughput comparison, committed to BENCH_pr5.json.
-BENCH5_COUNT ?= 5
-bench-serve:
-	$(GO) test -run '^$$' -bench 'BenchmarkServe' -benchmem -count $(BENCH5_COUNT) \
-		./internal/serve | \
-		$(GO) run ./cmd/scale-benchjson -label serve -out BENCH_pr5.json
-
-# Sharded-serving performance tier (DESIGN §4k): one full inference pass at
-# Reddit scale through the HTTP data plane at 1/2/4 shards, fp32 and int8,
-# against the direct single-session baseline, committed to BENCH_pr8.json.
-# Each sharded benchmark also reports the NoC-predicted speedup
-# (EstimateComm) as a custom metric — on a single-core container the shards
-# time-slice one CPU, so the predicted number carries the scaling story (see
-# EXPERIMENTS.md, PR 8).
-BENCH8_COUNT ?= 3
-bench-shard:
-	$(GO) test -run '^$$' -bench 'BenchmarkShard' -benchmem \
-		-benchtime 2x -count $(BENCH8_COUNT) ./internal/shard | \
-		$(GO) run ./cmd/scale-benchjson -label shard -out BENCH_pr8.json
 
 # Smoke-run the CLIs end to end.
 bench-smoke:
@@ -373,13 +338,5 @@ dyn-smoke:
 	wait $$pid || { echo "dyn-smoke: unclean drain"; cat /tmp/scale-serve-dyn-smoke.log; exit 1; }; \
 	trap - EXIT; \
 	echo "dyn-smoke: 9 mutate batches + 9 dynamic infers, invalidation hit rate > 0, drained cleanly"
-
-# Dynamic-graph performance tier: mutation throughput plus sampled vs full
-# inference over the same RMAT graph, committed to BENCH_pr10.json.
-BENCH10_COUNT ?= 5
-bench-dyn:
-	$(GO) test -run '^$$' -bench 'BenchmarkDyn' -benchmem -count $(BENCH10_COUNT) \
-		./internal/dyn | \
-		$(GO) run ./cmd/scale-benchjson -label dyn -out BENCH_pr10.json
 
 verify: test lint conform bce race bench-smoke serve-smoke shard-smoke chaos-smoke dyn-smoke

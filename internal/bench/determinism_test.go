@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"scale/internal/baseline"
@@ -32,6 +34,92 @@ func deterministicExperiments() ([]Experiment, []string) {
 	return exps, []string{"cora", "citeseer"}
 }
 
+// exportSuite runs exps on r and returns each experiment's JSON export.
+func exportSuite(label string, r *Runner, exps []Experiment) (map[string]string, error) {
+	out := make(map[string]string, len(exps))
+	for _, res := range r.Run(exps) {
+		if res.Err != nil {
+			return nil, fmt.Errorf("%s %s: %w", label, res.Experiment.ID, res.Err)
+		}
+		j, err := res.Table.JSON()
+		if err != nil {
+			return nil, fmt.Errorf("%s %s: %w", label, res.Experiment.ID, err)
+		}
+		out[res.Experiment.ID] = j
+	}
+	if len(out) != len(exps) {
+		return nil, fmt.Errorf("%s: %d exports, want %d", label, len(out), len(exps))
+	}
+	return out, nil
+}
+
+// determinismRunner returns a Runner on a fresh suite (fresh caches) over the
+// determinism dataset subset.
+func determinismRunner(workers int) *Runner {
+	s := NewSuite()
+	if _, datasets := deterministicExperiments(); datasets != nil {
+		s.Datasets = datasets
+	}
+	return NewRunner(s, workers)
+}
+
+// The whole-suite export is the costliest thing in tier-1, so the three
+// determinism tests share it: the serial compact export every other run is
+// compared against, and the 8-worker suite whose warm caches the repeated
+// run re-exports. Each is computed once per test binary, on first use.
+var (
+	serialOnce   sync.Once
+	serialExport map[string]string
+	serialErr    error
+
+	parallelOnce   sync.Once
+	parallelRunner *Runner
+	parallelExport map[string]string
+	parallelErr    error
+)
+
+// serialCompact returns the suite exported on one worker with the default
+// compact schedulers.
+func serialCompact(t *testing.T) map[string]string {
+	t.Helper()
+	serialOnce.Do(func() {
+		exps, _ := deterministicExperiments()
+		serialExport, serialErr = exportSuite("serial", determinismRunner(1), exps)
+	})
+	if serialErr != nil {
+		t.Fatal(serialErr)
+	}
+	return serialExport
+}
+
+// parallelCompact returns the suite exported on eight workers with the
+// default compact schedulers, and the Runner whose caches that run warmed.
+func parallelCompact(t *testing.T) (*Runner, map[string]string) {
+	t.Helper()
+	parallelOnce.Do(func() {
+		exps, _ := deterministicExperiments()
+		parallelRunner = determinismRunner(8)
+		parallelExport, parallelErr = exportSuite("workers=8", parallelRunner, exps)
+	})
+	if parallelErr != nil {
+		t.Fatal(parallelErr)
+	}
+	return parallelRunner, parallelExport
+}
+
+// compareExports fails t for every experiment whose export in got differs
+// from want.
+func compareExports(t *testing.T, wantLabel string, want map[string]string, gotLabel string, got map[string]string) {
+	t.Helper()
+	exps, _ := deterministicExperiments()
+	for _, e := range exps {
+		if got[e.ID] != want[e.ID] {
+			t.Errorf("%s: %s export differs from %s:\n--- %s ---\n%s\n--- %s ---\n%s",
+				e.ID, gotLabel, wantLabel, wantLabel, want[e.ID], gotLabel, got[e.ID])
+		}
+	}
+}
+
 // TestDeterminism is the engine's correctness proof: the full evaluation
 // suite run serially and run on eight workers must export byte-identical
 // JSON for every figure and table. This is a cross-check between two live
@@ -39,37 +127,9 @@ func deterministicExperiments() ([]Experiment, []string) {
 // catches both scheduling-dependent float summation and any shared-state
 // race that corrupts a result.
 func TestDeterminism(t *testing.T) {
-	exps, datasets := deterministicExperiments()
-	run := func(workers int) map[string]string {
-		s := NewSuite()
-		if datasets != nil {
-			s.Datasets = datasets
-		}
-		r := NewRunner(s, workers)
-		out := make(map[string]string, len(exps))
-		for _, res := range r.Run(exps) {
-			if res.Err != nil {
-				t.Fatalf("workers=%d %s: %v", workers, res.Experiment.ID, res.Err)
-			}
-			j, err := res.Table.JSON()
-			if err != nil {
-				t.Fatalf("workers=%d %s: %v", workers, res.Experiment.ID, err)
-			}
-			out[res.Experiment.ID] = j
-		}
-		return out
-	}
-	serial := run(1)
-	parallel := run(8)
-	if len(serial) != len(exps) || len(parallel) != len(exps) {
-		t.Fatalf("expected %d exports, got serial=%d parallel=%d", len(exps), len(serial), len(parallel))
-	}
-	for _, e := range exps {
-		if serial[e.ID] != parallel[e.ID] {
-			t.Errorf("%s: parallel export differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
-				e.ID, serial[e.ID], parallel[e.ID])
-		}
-	}
+	serial := serialCompact(t)
+	_, parallel := parallelCompact(t)
+	compareExports(t, "serial", serial, "workers=8", parallel)
 }
 
 // TestDeterminismCompactVsMaterialized is the golden equivalence proof for
@@ -79,39 +139,19 @@ func TestDeterminism(t *testing.T) {
 // mode gets fresh suites (fresh schedule memos), and the memo keys carry the
 // mode bit, so nothing is served across modes.
 func TestDeterminismCompactVsMaterialized(t *testing.T) {
-	exps, datasets := deterministicExperiments()
-	run := func(materialize bool, workers int) map[string]string {
-		core.SetMaterializeSchedules(materialize)
-		baseline.SetMaterializeSchedules(materialize)
-		defer core.SetMaterializeSchedules(false)
-		defer baseline.SetMaterializeSchedules(false)
-		s := NewSuite()
-		if datasets != nil {
-			s.Datasets = datasets
-		}
-		r := NewRunner(s, workers)
-		out := make(map[string]string, len(exps))
-		for _, res := range r.Run(exps) {
-			if res.Err != nil {
-				t.Fatalf("materialize=%v workers=%d %s: %v", materialize, workers, res.Experiment.ID, res.Err)
-			}
-			j, err := res.Table.JSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[res.Experiment.ID] = j
-		}
-		return out
-	}
-	compact := run(false, 1)
+	compact := serialCompact(t) // before the mode switch below
+	exps, _ := deterministicExperiments()
+	core.SetMaterializeSchedules(true)
+	baseline.SetMaterializeSchedules(true)
+	defer core.SetMaterializeSchedules(false)
+	defer baseline.SetMaterializeSchedules(false)
 	for _, workers := range []int{1, 8} {
-		materialized := run(true, workers)
-		for _, e := range exps {
-			if compact[e.ID] != materialized[e.ID] {
-				t.Errorf("%s: materialized export (workers=%d) differs from compact:\n--- compact ---\n%s\n--- materialized ---\n%s",
-					e.ID, workers, compact[e.ID], materialized[e.ID])
-			}
+		label := fmt.Sprintf("materialized workers=%d", workers)
+		materialized, err := exportSuite(label, determinismRunner(workers), exps)
+		if err != nil {
+			t.Fatal(err)
 		}
+		compareExports(t, "compact", compact, label, materialized)
 	}
 }
 
@@ -122,28 +162,11 @@ func TestDeterminismRepeatedParallel(t *testing.T) {
 	if raceEnabled {
 		t.Skip("covered by TestDeterminism under race")
 	}
+	warm, first := parallelCompact(t)
 	exps, _ := deterministicExperiments()
-	s := NewSuite()
-	r := NewRunner(s, 8)
-	export := func() map[string]string {
-		out := make(map[string]string, len(exps))
-		for _, res := range r.Run(exps) {
-			if res.Err != nil {
-				t.Fatalf("%s: %v", res.Experiment.ID, res.Err)
-			}
-			j, err := res.Table.JSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[res.Experiment.ID] = j
-		}
-		return out
+	again, err := exportSuite("warm workers=8", warm, exps)
+	if err != nil {
+		t.Fatal(err)
 	}
-	first := export()
-	second := export()
-	for _, e := range exps {
-		if first[e.ID] != second[e.ID] {
-			t.Errorf("%s: warm re-export differs from first export", e.ID)
-		}
-	}
+	compareExports(t, "first export", first, "warm re-export", again)
 }

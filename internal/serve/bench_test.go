@@ -12,7 +12,9 @@ import (
 // handler stack (admission queue → session cache → micro-batcher →
 // forward). The workload is a small graph, where per-call fixed costs
 // (scheduling, state checkout, layer prep) dominate — exactly the regime a
-// micro-batcher exists for.
+// micro-batcher exists for. Run the serve benchmarks with
+//
+//	go test ./internal/serve -run '^$' -bench BenchmarkServe -benchmem
 func benchServe(b *testing.B, cfg Config) {
 	cfg.Sim = testSim(b)
 	s := New(cfg)

@@ -3,33 +3,42 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 
 	"scale/internal/dyn"
 	"scale/internal/fault"
+	"scale/internal/fault/httpfault"
+	"scale/internal/obs"
 )
 
-// writeDynMetrics renders the dynamic graph's gauges and counters, including
-// the schedule delta-invalidation hit rate (reused / refreshed entries; the
+// registerDynMetrics adds the dynamic graph's gauges and counters to r,
+// each read from g.Stats() when the page is rendered, including the
+// schedule delta-invalidation hit rate (reused / refreshed entries; the
 // dyn-smoke harness asserts it stays above zero under mutate+infer load).
-func writeDynMetrics(w io.Writer, st dyn.Stats) {
-	writeGauge(w, "scale_dyn_vertices", "Live vertices in the dynamic graph.", float64(st.Vertices))
-	writeGauge(w, "scale_dyn_edges", "Live edges in the dynamic graph (base + overlay).", float64(st.Edges))
-	writeGauge(w, "scale_dyn_delta_fraction", "Overlay edge ops as a fraction of base edges.", st.DeltaFrac)
-	writeGauge(w, "scale_dyn_delta_added", "Overlay edge inserts awaiting compaction.", float64(st.DeltaAdded))
-	writeGauge(w, "scale_dyn_delta_removed", "Overlay edge removals awaiting compaction.", float64(st.DeltaRemoved))
-	writeCounter(w, "scale_dyn_mutations_total", "Individual graph deltas applied.", st.Mutations)
-	writeCounter(w, "scale_dyn_mutation_batches_total", "Atomic mutation batches applied.", st.Batches)
-	writeCounter(w, "scale_dyn_compactions_total", "Overlay compactions into the base CSR.", st.Compactions)
-	writeCounter(w, "scale_dyn_sched_reused_total", "Schedule-table entries served from cache across refreshes.", st.SchedReused)
-	writeCounter(w, "scale_dyn_sched_recomputed_total", "Schedule-table entries recomputed by delta-invalidation.", st.SchedRecomputed)
-	rate := 0.0
-	if total := st.SchedReused + st.SchedRecomputed; total > 0 {
-		rate = float64(st.SchedReused) / float64(total)
+func registerDynMetrics(r *obs.Registry, g *dyn.Graph) {
+	gauge := func(name, help string, f func(dyn.Stats) float64) {
+		r.GaugeFunc(name, help, func() float64 { return f(g.Stats()) })
 	}
-	writeGauge(w, "scale_dyn_sched_invalidation_hit_rate", "Fraction of schedule-table refresh entries reused rather than recomputed.", rate)
+	counter := func(name, help string, f func(dyn.Stats) int64) {
+		r.CounterFunc(name, help, func() int64 { return f(g.Stats()) })
+	}
+	gauge("scale_dyn_vertices", "Live vertices in the dynamic graph.", func(st dyn.Stats) float64 { return float64(st.Vertices) })
+	gauge("scale_dyn_edges", "Live edges in the dynamic graph (base + overlay).", func(st dyn.Stats) float64 { return float64(st.Edges) })
+	gauge("scale_dyn_delta_fraction", "Overlay edge ops as a fraction of base edges.", func(st dyn.Stats) float64 { return st.DeltaFrac })
+	gauge("scale_dyn_delta_added", "Overlay edge inserts awaiting compaction.", func(st dyn.Stats) float64 { return float64(st.DeltaAdded) })
+	gauge("scale_dyn_delta_removed", "Overlay edge removals awaiting compaction.", func(st dyn.Stats) float64 { return float64(st.DeltaRemoved) })
+	counter("scale_dyn_mutations_total", "Individual graph deltas applied.", func(st dyn.Stats) int64 { return st.Mutations })
+	counter("scale_dyn_mutation_batches_total", "Atomic mutation batches applied.", func(st dyn.Stats) int64 { return st.Batches })
+	counter("scale_dyn_compactions_total", "Overlay compactions into the base CSR.", func(st dyn.Stats) int64 { return st.Compactions })
+	counter("scale_dyn_sched_reused_total", "Schedule-table entries served from cache across refreshes.", func(st dyn.Stats) int64 { return st.SchedReused })
+	counter("scale_dyn_sched_recomputed_total", "Schedule-table entries recomputed by delta-invalidation.", func(st dyn.Stats) int64 { return st.SchedRecomputed })
+	gauge("scale_dyn_sched_invalidation_hit_rate", "Fraction of schedule-table refresh entries reused rather than recomputed.", func(st dyn.Stats) float64 {
+		if total := st.SchedReused + st.SchedRecomputed; total > 0 {
+			return float64(st.SchedReused) / float64(total)
+		}
+		return 0
+	})
 }
 
 // mutateOp is one JSON-encoded mutation of the POST /v1/mutate body.
@@ -88,7 +97,7 @@ func decodeMutateJSON(body mutateBody) (dyn.Batch, error) {
 // graph shape.
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Dynamic == nil {
-		writeError(w, http.StatusBadRequest, "server has no dynamic graph (-dynamic)", "bad_input")
+		s.writeError(w, http.StatusBadRequest, "server has no dynamic graph (-dynamic)", "bad_input")
 		return
 	}
 
@@ -102,7 +111,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	} else {
 		var body mutateBody
 		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			writeError(w, http.StatusBadRequest, "bad JSON body: "+err.Error(), "bad_input")
+			s.writeError(w, http.StatusBadRequest, "bad JSON body: "+err.Error(), "bad_input")
 			return
 		}
 		var err error
@@ -120,7 +129,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	s.metrics.MutationBatches.Add(1)
 	s.metrics.MutationOps.Add(int64(len(batch.Ops)))
 	st := s.cfg.Dynamic.Stats()
-	writeJSON(w, http.StatusOK, mutateResponse{
+	httpfault.WriteJSON(w, http.StatusOK, mutateResponse{
 		Applied:      len(batch.Ops),
 		Vertices:     st.Vertices,
 		Edges:        st.Edges,

@@ -7,20 +7,16 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"scale"
 	"scale/internal/dyn"
 	"scale/internal/fault"
-	"scale/internal/gnn"
+	"scale/internal/fault/httpfault"
 	"scale/internal/graph"
 	"scale/internal/shard"
 	"scale/internal/tensor"
 )
-
-// errDraining marks work refused because the server is shutting down.
-var errDraining = errors.New("serve: draining")
 
 // inferBody is the POST /v1/infer request payload.
 type inferBody struct {
@@ -36,7 +32,8 @@ type inferBody struct {
 	// cancellation of the gnn executor. 0 means no extra deadline.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 	// Precision selects the execution tier: "" (the server's default
-	// precision), "fp32", or "int8". Unknown values are 400 bad_input.
+	// precision), "fp32", or "int8". Unknown values are 400 bad_input;
+	// check replaces "" with the tier that runs.
 	Precision string `json:"precision,omitempty"`
 	// Graph selects the graph source: "" runs the request-carried
 	// edges/features; "dynamic" runs the server's mutable graph
@@ -84,13 +81,8 @@ type simulateBody struct {
 	Accel   string `json:"accel,omitempty"`
 }
 
-// errorResponse is every non-2xx payload. Kind is a stable machine-readable
-// classification: usage, bad_input, timeout, over_capacity, draining, panic,
-// internal.
-type errorResponse struct {
-	Error string `json:"error"`
-	Kind  string `json:"kind"`
-}
+// errorResponse is every non-2xx payload, the same on both tiers.
+type errorResponse = httpfault.Body
 
 // healthResponse is the GET /healthz payload. The shard fields only appear
 // on a pool-fronting server: Degraded means every worker's circuit breaker
@@ -106,59 +98,26 @@ type healthResponse struct {
 	Degraded         *bool   `json:"degraded,omitempty"`
 }
 
-// classify maps an error to its HTTP status and error kind, in precedence
-// order: contained panics are 500 even when the panic value wraps an input
-// sentinel, deadlines are 408, drain refusals 503, a mid-compaction
-// dynamic graph 409 (retryable — the batch itself may be fine), input
-// sentinels 400.
+// classify is httpfault.Classify plus the front's one extra case: a
+// mid-compaction dynamic graph answers 409 (retryable — the batch itself may
+// be fine). It ranks below panics, deadlines and drains, above input
+// sentinels.
 func classify(err error) (int, string) {
-	if err == nil {
-		return http.StatusOK, ""
-	}
-	if _, ok := fault.AsPanic(err); ok {
-		return http.StatusInternalServerError, "panic"
-	}
-	switch {
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return http.StatusRequestTimeout, "timeout"
-	case errors.Is(err, errDraining):
-		return http.StatusServiceUnavailable, "draining"
-	case errors.Is(err, dyn.ErrCompacting):
+	code, kind := httpfault.Classify(err)
+	if (kind == "bad_input" || kind == "internal") && errors.Is(err, dyn.ErrCompacting) {
 		return http.StatusConflict, "compacting"
-	case fault.IsInput(err):
-		return http.StatusBadRequest, "bad_input"
-	default:
-		return http.StatusInternalServerError, "internal"
 	}
+	return code, kind
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v) // the client is gone if this fails; nothing to do
+func (s *Server) writeError(w http.ResponseWriter, code int, msg, kind string) {
+	httpfault.Write(w, code, msg, kind, s.cfg.RetryAfter)
 }
 
-func writeError(w http.ResponseWriter, code int, msg, kind string) {
-	writeJSON(w, code, errorResponse{Error: msg, Kind: kind})
-}
-
-// writeMapped renders err through classify, attaching Retry-After to
-// load-shedding (and mid-compaction) answers.
+// writeMapped answers err with classify's status and kind.
 func (s *Server) writeMapped(w http.ResponseWriter, err error) {
 	code, kind := classify(err)
-	if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable || code == http.StatusConflict {
-		w.Header().Set("Retry-After", retrySeconds(s.cfg.RetryAfter))
-	}
-	writeError(w, code, err.Error(), kind)
-}
-
-func retrySeconds(d time.Duration) string {
-	secs := int(d / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
+	s.writeError(w, code, err.Error(), kind)
 }
 
 // statusRecorder captures the status code a handler sent, for metrics.
@@ -194,7 +153,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 			s.metrics.PanicsContained.Add(1)
 			if !rec.wrote {
 				rec.code = http.StatusInternalServerError
-				writeError(rec, http.StatusInternalServerError, err.Error(), "panic")
+				s.writeError(rec, http.StatusInternalServerError, err.Error(), "panic")
 			}
 		}
 		s.metrics.ObserveRequest(endpoint, rec.code, time.Since(start))
@@ -207,18 +166,17 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, "POST required", "usage")
+			s.writeError(w, http.StatusMethodNotAllowed, "POST required", "usage")
 			return
 		}
 		if !s.begin() {
-			s.writeMapped(w, errDraining)
+			s.writeMapped(w, httpfault.ErrDraining)
 			return
 		}
 		defer s.end()
 		if !s.queue.tryAcquire() {
 			s.metrics.QueueRejections.Add(1)
-			w.Header().Set("Retry-After", retrySeconds(s.cfg.RetryAfter))
-			writeError(w, http.StatusTooManyRequests, "admission queue full", "over_capacity")
+			s.writeError(w, http.StatusTooManyRequests, "admission queue full", "over_capacity")
 			return
 		}
 		defer s.queue.release()
@@ -237,22 +195,12 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		body, err = decodeInferBody(raw)
 	}
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad JSON body: "+err.Error(), "bad_input")
+		s.writeError(w, http.StatusBadRequest, "bad JSON body: "+err.Error(), "bad_input")
 		return
 	}
 	if err := s.check(&body); err != nil {
 		s.writeMapped(w, err)
 		return
-	}
-	// Normalize the precision before the cache lookup so "", the server
-	// default, and an explicit "fp32" all share one session. Unknown
-	// values flow into NewSessionPrecision, whose typed error maps to 400.
-	precision := body.Precision
-	if precision == "" {
-		precision = s.cfg.DefaultPrecision
-	}
-	if precision == "" {
-		precision = "fp32"
 	}
 	ctx := r.Context()
 	if body.TimeoutMS > 0 {
@@ -260,12 +208,12 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(body.TimeoutMS)*time.Millisecond)
 		defer cancel()
 	}
-	rows, err := s.infer(ctx, &body, precision)
+	rows, err := s.infer(ctx, &body)
 	if err != nil {
 		s.writeMapped(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, inferResponse{Model: body.Model, Precision: precision, Embeddings: rows})
+	httpfault.WriteJSON(w, http.StatusOK, inferResponse{Model: body.Model, Precision: body.Precision, Embeddings: rows})
 }
 
 // badRequest is a 400 bad_input answer whose text is the whole message.
@@ -275,10 +223,19 @@ func (e badRequest) Error() string        { return string(e) }
 func (e badRequest) Is(target error) bool { return target == fault.ErrBadConfig }
 
 // check is every test a body must pass before it is routed: the vertex cap,
-// the graph source, and for a request-carried graph its dims chain and its
-// shape (scale.InferRequest.Validate). A short dims chain answers with
-// gnn.NewModel's own refusal, the one a session would give.
+// the graph source, a request-carried graph's shape
+// (scale.InferRequest.Validate), and the session it names
+// (scale.ValidateSession: model, dims and precision, with the refusal a
+// session would give), so no route partitions or allocates for a body that
+// would fail. It also settles the precision — the body's, else the server
+// default, else fp32 — so equivalent requests share one session.
 func (s *Server) check(body *inferBody) error {
+	if body.Precision == "" {
+		body.Precision = s.cfg.DefaultPrecision
+	}
+	if body.Precision == "" {
+		body.Precision = "fp32"
+	}
 	if body.NumVertices > s.cfg.MaxVertices {
 		return badRequest(fmt.Sprintf("request has %d vertices, server caps at %d", body.NumVertices, s.cfg.MaxVertices))
 	}
@@ -288,16 +245,16 @@ func (s *Server) check(body *inferBody) error {
 		if s.cfg.Dynamic == nil {
 			return badRequest("server has no dynamic graph (-dynamic)")
 		}
-		return nil
 	default:
 		return badRequest(fmt.Sprintf("unknown graph source %q", body.Graph))
 	}
-	if len(body.Dims) < 2 {
-		_, err := gnn.NewModel(body.Model, body.Dims, 1)
-		return err
+	if body.Graph == "" && len(body.Dims) >= 2 {
+		req := scale.InferRequest{NumVertices: body.NumVertices, Edges: body.Edges, Features: body.Features}
+		if err := req.Validate(body.Dims[0]); err != nil {
+			return err
+		}
 	}
-	req := scale.InferRequest{NumVertices: body.NumVertices, Edges: body.Edges, Features: body.Features}
-	return req.Validate(body.Dims[0])
+	return scale.ValidateSession(body.Model, body.Dims, body.Precision)
 }
 
 // infer runs one checked body and returns its final-layer embeddings. The
@@ -315,12 +272,12 @@ func (s *Server) check(body *inferBody) error {
 //     shifted into a disjoint-union batch.
 //
 // The session ref is held until the answer is in.
-func (s *Server) infer(ctx context.Context, body *inferBody, precision string) ([][]float32, error) {
+func (s *Server) infer(ctx context.Context, body *inferBody) ([][]float32, error) {
 	plain := body.Graph == "" && body.SampleFanout == 0
 	if plain && s.cfg.ShardPool != nil && body.NumVertices >= s.cfg.ShardMinVertices {
 		if !s.cfg.ShardPool.Degraded() {
 			g, x := body.graphAndFeatures()
-			out, _, err := s.cfg.ShardPool.Run(ctx, shard.SessionSpec{Model: body.Model, Dims: body.Dims, Precision: precision}, g, x)
+			out, _, err := s.cfg.ShardPool.Run(ctx, shard.SessionSpec{Model: body.Model, Dims: body.Dims, Precision: body.Precision}, g, x)
 			if err == nil {
 				rows := make([][]float32, out.Rows)
 				for v := range rows {
@@ -335,7 +292,7 @@ func (s *Server) infer(ctx context.Context, body *inferBody, precision string) (
 		s.metrics.DegradedRequests.Add(1)
 	}
 
-	entry, err := s.session(body.Model, body.Dims, precision)
+	entry, err := s.session(body.Model, body.Dims, body.Precision)
 	if err != nil {
 		return nil, err
 	}
@@ -380,19 +337,8 @@ func (s *Server) infer(ctx context.Context, body *inferBody, precision string) (
 // its 400, a spent deadline its 408, and a contained panic its 500 (the
 // panic would likely reproduce locally).
 func fallbackEligible(err error) bool {
-	if err == nil {
-		return false
-	}
-	if _, ok := fault.AsPanic(err); ok {
-		return false
-	}
-	if fault.IsInput(err) {
-		return false
-	}
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		return false
-	}
-	return true
+	_, kind := httpfault.Classify(err)
+	return kind == "internal" || kind == "draining"
 }
 
 // graphAndFeatures builds a checked body's graph and adopts its feature
@@ -410,7 +356,7 @@ func (body *inferBody) graphAndFeatures() (*graph.Graph, *tensor.Matrix) {
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var body simulateBody
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, "bad JSON body: "+err.Error(), "bad_input")
+		s.writeError(w, http.StatusBadRequest, "bad JSON body: "+err.Error(), "bad_input")
 		return
 	}
 	report, err := s.cfg.Sim.SimulateOn(body.Accel, body.Model, body.Dataset)
@@ -426,7 +372,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		// Estimate failures (e.g. a dataset with no generator) degrade to
 		// the plain report rather than failing the simulate call.
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpfault.WriteJSON(w, http.StatusOK, resp)
 }
 
 // shardEstimate partitions the dataset's generated graph at the pool's shard
@@ -470,22 +416,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status, code = "draining", http.StatusServiceUnavailable
 	}
 	resp.Status = status
-	writeJSON(w, code, resp)
-}
-
-// handleMetrics renders the Prometheus text exposition.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.Render(w, s.LiveSessions())
-	if s.cfg.Dynamic != nil {
-		writeDynMetrics(w, s.cfg.Dynamic.Stats())
-	}
-	if s.cfg.ShardPool != nil {
-		degraded := 0.0
-		if s.cfg.ShardPool.Degraded() {
-			degraded = 1
-		}
-		writeGauge(w, "scale_serve_degraded", "Whether the shard pool has no live workers and infers run on the local fallback.", degraded)
-		s.cfg.ShardPool.WritePrometheus(w)
-	}
+	httpfault.WriteJSON(w, code, resp)
 }

@@ -34,6 +34,7 @@ import (
 
 	"scale"
 	"scale/internal/dyn"
+	"scale/internal/fault/httpfault"
 	"scale/internal/shard"
 )
 
@@ -165,7 +166,19 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("/v1/mutate", s.instrument("mutate", s.admit(s.handleMutate)))
 	s.mux.HandleFunc("/v1/simulate", s.instrument("simulate", s.admit(s.handleSimulate)))
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
+	s.mux.Handle("/metrics", s.metrics.reg)
+	if s.cfg.Dynamic != nil {
+		registerDynMetrics(s.metrics.reg, s.cfg.Dynamic)
+	}
+	if pool := s.cfg.ShardPool; pool != nil {
+		s.metrics.reg.IntGaugeFunc("scale_serve_degraded", "Whether the shard pool has no live workers and infers run on the local fallback.", func() int64 {
+			if pool.Degraded() {
+				return 1
+			}
+			return 0
+		})
+		s.metrics.reg.Include(pool.Registry())
+	}
 	return s
 }
 
@@ -221,7 +234,7 @@ func (s *Server) Close() {
 	for k, e := range s.sessions {
 		entries = append(entries, e)
 		delete(s.sessions, k)
-		s.metrics.DeleteSessionPrecision(k)
+		s.metrics.sessionDropped(k, e.sess, len(s.sessions))
 	}
 	s.mu.Unlock()
 	for _, e := range entries {
@@ -270,7 +283,7 @@ func (s *Server) session(model string, dims []int, precision string) (*sessionEn
 	}
 	if s.closed {
 		s.mu.Unlock()
-		return nil, errDraining
+		return nil, httpfault.ErrDraining
 	}
 	for len(s.sessions) >= s.cfg.MaxSessions {
 		s.evictLocked()
@@ -283,9 +296,7 @@ func (s *Server) session(model string, dims []int, precision string) (*sessionEn
 	e.lastUse.Store(s.useSeq.Add(1))
 	e.refs.Add(1)
 	s.sessions[key] = e
-	s.metrics.SessionsCreated.Add(1)
-	compression, avgBytes := sess.PrecisionStats()
-	s.metrics.SetSessionPrecision(key, sess.Precision(), compression, avgBytes)
+	s.metrics.sessionCached(key, sess, len(s.sessions))
 	s.batchers.Add(1)
 	go func() {
 		defer s.batchers.Done()
@@ -310,7 +321,7 @@ func (s *Server) evictLocked() {
 	}
 	delete(s.sessions, victim.key)
 	s.metrics.SessionsEvicted.Add(1)
-	s.metrics.DeleteSessionPrecision(victim.key)
+	s.metrics.sessionDropped(victim.key, victim.sess, len(s.sessions))
 	go func() {
 		victim.refs.Wait()
 		close(victim.b.quit)

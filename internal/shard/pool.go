@@ -16,8 +16,10 @@ import (
 	"time"
 
 	"scale/internal/fault"
+	"scale/internal/fault/httpfault"
 	"scale/internal/graph"
 	"scale/internal/noc"
+	"scale/internal/obs"
 	"scale/internal/tensor"
 )
 
@@ -84,17 +86,15 @@ type PoolConfig struct {
 
 // PoolMetrics are the front tier's sharding counters.
 type PoolMetrics struct {
-	Requests      atomic.Int64
-	LayerCalls    atomic.Int64
-	Failovers     atomic.Int64
-	Reloads       atomic.Int64
-	HaloBytesSent atomic.Int64
+	Requests      *obs.Counter
+	LayerCalls    *obs.Counter
+	Failovers     *obs.Counter
+	Reloads       *obs.Counter
+	HaloBytesSent *obs.Counter
 	// Retries counts in-place retries of transient (429/503) answers.
-	Retries atomic.Int64
+	Retries *obs.Counter
 	// Probes counts active health probes sent.
-	Probes atomic.Int64
-	// DegradedChecks counts Degraded() calls that reported no live workers.
-	DegradedChecks atomic.Int64
+	Probes *obs.Counter
 }
 
 // Pool is the front-tier client of the shard worker fleet. Each inference
@@ -119,6 +119,7 @@ type Pool struct {
 	ring     *Ring
 	client   *http.Client
 	metrics  *PoolMetrics
+	reg      *obs.Registry
 	breakers map[string]*Breaker // immutable after NewPool; values are locked
 	reqSeq   atomic.Uint64
 
@@ -177,7 +178,7 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 		cfg:        cfg,
 		ring:       ring,
 		client:     client,
-		metrics:    &PoolMetrics{},
+		reg:        obs.NewRegistry(),
 		breakers:   make(map[string]*Breaker, len(cfg.Workers)),
 		proberStop: make(chan struct{}),
 		proberDone: make(chan struct{}),
@@ -185,6 +186,7 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 	for _, a := range cfg.Workers {
 		p.breakers[a] = NewBreaker(cfg.BreakerThreshold, cfg.DownFor)
 	}
+	p.registerMetrics()
 	// Distinct pools must not collide on worker run ids.
 	p.reqSeq.Store(uint64(time.Now().UnixNano()))
 	return p, nil
@@ -201,6 +203,9 @@ func (p *Pool) Topology() noc.Kind { return p.cfg.Topology }
 
 // Metrics exposes the pool's counters.
 func (p *Pool) Metrics() *PoolMetrics { return p.metrics }
+
+// Registry is the pool's part of the front tier's /metrics page.
+func (p *Pool) Registry() *obs.Registry { return p.reg }
 
 // Breaker returns the circuit breaker guarding addr ("" accepted forms are
 // the normalized worker URLs), or nil for a worker outside the pool.
@@ -223,11 +228,7 @@ func (p *Pool) LiveWorkers() int {
 // open or probing): the front tier should fall back to single-process
 // serving rather than fan a pass into a fleet it believes dead.
 func (p *Pool) Degraded() bool {
-	if p.LiveWorkers() > 0 {
-		return false
-	}
-	p.metrics.DegradedChecks.Add(1)
-	return true
+	return p.LiveWorkers() == 0
 }
 
 // StartProber launches the active health prober: every ProbeInterval
@@ -303,34 +304,36 @@ func (p *Pool) probe(addr string) {
 	}
 }
 
-// WritePrometheus renders the pool's sharding counters in Prometheus text
-// exposition format; the front tier appends it to its /metrics page.
-func (p *Pool) WritePrometheus(w io.Writer) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+// registerMetrics builds the pool's counters and its breaker and fleet
+// gauges on p.reg.
+func (p *Pool) registerMetrics() {
+	r := p.reg
+	p.metrics = &PoolMetrics{
+		Requests:      r.Counter("scale_shard_pool_requests_total", "Sharded inference passes started."),
+		LayerCalls:    r.Counter("scale_shard_pool_layer_calls_total", "Per-shard layer calls completed."),
+		Failovers:     r.Counter("scale_shard_pool_failovers_total", "Worker failures routed around."),
+		Reloads:       r.Counter("scale_shard_pool_reloads_total", "Shard reloads onto replacement workers."),
+		HaloBytesSent: r.Counter("scale_shard_pool_halo_bytes_total", "Halo row bytes redistributed between layers."),
+		Retries:       r.Counter("scale_shard_pool_retries_total", "In-place retries of transient (429/503 Retry-After) worker answers."),
+		Probes:        r.Counter("scale_shard_pool_probes_total", "Active health probes sent."),
 	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	counter("scale_shard_pool_requests_total", "Sharded inference passes started.", p.metrics.Requests.Load())
-	counter("scale_shard_pool_layer_calls_total", "Per-shard layer calls completed.", p.metrics.LayerCalls.Load())
-	counter("scale_shard_pool_failovers_total", "Worker failures routed around.", p.metrics.Failovers.Load())
-	counter("scale_shard_pool_reloads_total", "Shard reloads onto replacement workers.", p.metrics.Reloads.Load())
-	counter("scale_shard_pool_halo_bytes_total", "Halo row bytes redistributed between layers.", p.metrics.HaloBytesSent.Load())
-	counter("scale_shard_pool_retries_total", "In-place retries of transient (429/503 Retry-After) worker answers.", p.metrics.Retries.Load())
-	counter("scale_shard_pool_probes_total", "Active health probes sent.", p.metrics.Probes.Load())
-	var open, trips int64
-	for _, b := range p.breakers {
-		if b.State() == BreakerOpen {
-			open++
+	r.CounterFunc("scale_shard_pool_breaker_trips_total", "Circuit breakers tripped open.", func() (trips int64) {
+		for _, b := range p.breakers {
+			trips += b.Trips()
 		}
-		trips += b.Trips()
-	}
-	counter("scale_shard_pool_breaker_trips_total", "Circuit breakers tripped open.", trips)
-	gauge("scale_shard_pool_breaker_open", "Workers whose circuit breaker is currently open.", open)
-	gauge("scale_shard_pool_workers_live", "Workers whose circuit breaker is closed.", int64(p.LiveWorkers()))
-	gauge("scale_shard_pool_workers", "Workers in the replica pool.", int64(len(p.ring.nodes)))
-	gauge("scale_shard_pool_parts", "Shards per request.", int64(p.cfg.Parts))
+		return trips
+	})
+	r.IntGaugeFunc("scale_shard_pool_breaker_open", "Workers whose circuit breaker is currently open.", func() (open int64) {
+		for _, b := range p.breakers {
+			if b.State() == BreakerOpen {
+				open++
+			}
+		}
+		return open
+	})
+	r.IntGaugeFunc("scale_shard_pool_workers_live", "Workers whose circuit breaker is closed.", func() int64 { return int64(p.LiveWorkers()) })
+	r.IntGaugeFunc("scale_shard_pool_workers", "Workers in the replica pool.", func() int64 { return int64(len(p.ring.nodes)) })
+	r.IntGaugeFunc("scale_shard_pool_parts", "Shards per request.", func() int64 { return int64(p.cfg.Parts) })
 }
 
 func normalizeAddr(a string) string {
@@ -586,22 +589,14 @@ func (p *Pool) layerShard(ctx context.Context, spec SessionSpec, sr *shardRun, l
 	return nil, fmt.Errorf("shard %d: layer %d failed on every worker: %w", sub.Index, li, lastErr)
 }
 
-// postResult is one worker answer: status code, raw body, and the worker's
+// postResult is one worker answer: status code, raw body, the error body
+// of a non-2xx answer (empty when it is not JSON), and the worker's
 // Retry-After hint (0 when absent).
 type postResult struct {
 	code       int
 	body       []byte
+	fault      httpfault.Body
 	retryAfter time.Duration
-}
-
-// kind extracts the machine-readable error classification from a worker's
-// JSON error payload ("" for non-JSON bodies).
-func (r *postResult) kind() string {
-	var we shardError
-	if err := json.Unmarshal(r.body, &we); err == nil {
-		return we.Kind
-	}
-	return ""
 }
 
 // transient reports whether the answer is worth retrying on the same worker:
@@ -613,7 +608,7 @@ func (r *postResult) transient() bool {
 	case http.StatusTooManyRequests:
 		return true
 	case http.StatusServiceUnavailable:
-		return r.kind() != "draining"
+		return r.fault.Kind != "draining"
 	}
 	return false
 }
@@ -643,6 +638,9 @@ func (p *Pool) post(ctx context.Context, url string, frame []byte) (*postResult,
 		return nil, err
 	}
 	res := &postResult{code: resp.StatusCode, body: body}
+	if res.code >= 300 {
+		_ = json.Unmarshal(body, &res.fault) // a non-JSON body leaves it empty
+	}
 	if s := resp.Header.Get("Retry-After"); s != "" {
 		if secs, perr := strconv.Atoi(s); perr == nil && secs > 0 {
 			res.retryAfter = time.Duration(secs) * time.Second
@@ -695,10 +693,9 @@ func (p *Pool) noteFailure(addr string, resp *postResult, err error) error {
 		p.metrics.Failovers.Add(1)
 		return fmt.Errorf("worker %s: %w", addr, err)
 	}
-	var we shardError
-	msg := string(resp.body)
-	if jerr := json.Unmarshal(resp.body, &we); jerr == nil && we.Error != "" {
-		msg = we.Error
+	msg := resp.fault.Error
+	if msg == "" {
+		msg = string(resp.body)
 	}
 	if resp.code == http.StatusBadRequest || resp.code == http.StatusMethodNotAllowed {
 		return &permanentErr{err: fmt.Errorf("worker %s: %s: %w", addr, msg, fault.ErrBadConfig)}

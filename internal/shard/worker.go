@@ -1,9 +1,6 @@
 package shard
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -13,12 +10,11 @@ import (
 
 	"scale"
 	"scale/internal/fault"
+	"scale/internal/fault/httpfault"
 	"scale/internal/graph"
+	"scale/internal/obs"
 	"scale/internal/tensor"
 )
-
-// errWorkerDraining marks work refused because the worker is shutting down.
-var errWorkerDraining = errors.New("shard: worker draining")
 
 // WorkerConfig parameterizes a Worker. Only Sim is required; zero values
 // select production-reasonable defaults.
@@ -70,15 +66,15 @@ type run struct {
 	touched atomic.Int64
 }
 
-// WorkerMetrics are the worker's atomic counters, rendered on /metrics.
+// WorkerMetrics are the worker's counters, rendered on /metrics.
 type WorkerMetrics struct {
-	Loads           atomic.Int64
-	Layers          atomic.Int64
-	Finishes        atomic.Int64
-	HaloRowsMerged  atomic.Int64
-	RunsExpired     atomic.Int64
-	Rejections      atomic.Int64
-	PanicsContained atomic.Int64
+	Loads           *obs.Counter
+	Layers          *obs.Counter
+	Finishes        *obs.Counter
+	HaloRowsMerged  *obs.Counter
+	RunsExpired     *obs.Counter
+	Rejections      *obs.Counter
+	PanicsContained *obs.Counter
 }
 
 // Worker is one shard server: it holds scale.Sessions and in-flight shard
@@ -101,19 +97,29 @@ type Worker struct {
 
 // NewWorker builds a Worker around cfg.Sim.
 func NewWorker(cfg WorkerConfig) *Worker {
+	r := obs.NewRegistry()
 	w := &Worker{
-		cfg:      cfg.withDefaults(),
-		metrics:  &WorkerMetrics{},
+		cfg: cfg.withDefaults(),
+		metrics: &WorkerMetrics{
+			Loads:           r.Counter("scale_shard_loads_total", "Shard runs loaded (including failover reloads)."),
+			Layers:          r.Counter("scale_shard_layers_total", "Model layers advanced across all shard runs."),
+			Finishes:        r.Counter("scale_shard_finishes_total", "Shard runs released by their front tier."),
+			HaloRowsMerged:  r.Counter("scale_shard_halo_rows_merged_total", "Halo feature rows merged into shard runs between layers."),
+			RunsExpired:     r.Counter("scale_shard_runs_expired_total", "Shard runs evicted after RunTTL without a call."),
+			Rejections:      r.Counter("scale_shard_rejections_total", "Loads refused because the run table was full (429)."),
+			PanicsContained: r.Counter("scale_shard_panics_contained_total", "Handler panics isolated into 500 responses."),
+		},
 		start:    time.Now(),
 		sessions: make(map[string]*scale.Session),
 		runs:     make(map[uint64]*run),
 	}
+	r.IntGaugeFunc("scale_shard_runs", "Shard runs currently loaded.", func() int64 { return int64(w.LiveRuns()) })
 	w.mux = http.NewServeMux()
 	w.mux.HandleFunc("/v1/shard/load", w.guard(w.handleLoad))
 	w.mux.HandleFunc("/v1/shard/layer", w.guard(w.handleLayer))
 	w.mux.HandleFunc("/v1/shard/finish", w.guard(w.handleFinish))
 	w.mux.HandleFunc("/healthz", w.handleHealthz)
-	w.mux.HandleFunc("/metrics", w.handleMetrics)
+	w.mux.Handle("/metrics", r)
 	return w
 }
 
@@ -155,44 +161,14 @@ func (w *Worker) LiveRuns() int {
 	return len(w.runs)
 }
 
-// shardError is the JSON error payload, shape-compatible with
-// internal/serve's errorResponse so one client-side classifier serves both
-// tiers.
-type shardError struct {
-	Error string `json:"error"`
-	Kind  string `json:"kind"`
-}
-
 func (w *Worker) writeError(rw http.ResponseWriter, code int, msg, kind string) {
-	if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
-		secs := int(w.cfg.RetryAfter / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		rw.Header().Set("Retry-After", strconv.Itoa(secs))
-	}
-	rw.Header().Set("Content-Type", "application/json")
-	rw.WriteHeader(code)
-	_ = json.NewEncoder(rw).Encode(shardError{Error: msg, Kind: kind})
+	httpfault.Write(rw, code, msg, kind, w.cfg.RetryAfter)
 }
 
-// writeMapped renders err with the serve tier's status mapping: contained
-// panics 500, deadlines 408, drain 503, input sentinels 400.
+// writeMapped answers err with httpfault.Classify's status and kind.
 func (w *Worker) writeMapped(rw http.ResponseWriter, err error) {
-	if _, ok := fault.AsPanic(err); ok {
-		w.writeError(rw, http.StatusInternalServerError, err.Error(), "panic")
-		return
-	}
-	switch {
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		w.writeError(rw, http.StatusRequestTimeout, err.Error(), "timeout")
-	case errors.Is(err, errWorkerDraining):
-		w.writeError(rw, http.StatusServiceUnavailable, err.Error(), "draining")
-	case fault.IsInput(err):
-		w.writeError(rw, http.StatusBadRequest, err.Error(), "bad_input")
-	default:
-		w.writeError(rw, http.StatusInternalServerError, err.Error(), "internal")
-	}
+	code, kind := httpfault.Classify(err)
+	w.writeError(rw, code, err.Error(), kind)
 }
 
 // guard wraps a data-plane endpoint with method/drain admission and a panic
@@ -206,7 +182,7 @@ func (w *Worker) guard(h http.HandlerFunc) http.HandlerFunc {
 		w.mu.Lock()
 		if w.draining {
 			w.mu.Unlock()
-			w.writeMapped(rw, errWorkerDraining)
+			w.writeMapped(rw, httpfault.ErrDraining)
 			return
 		}
 		w.handlers.Add(1)
@@ -224,10 +200,7 @@ func (w *Worker) guard(h http.HandlerFunc) http.HandlerFunc {
 // plain bounded map; sessions are deterministic, so evicting and rebuilding
 // never changes results.
 func (w *Worker) session(model string, dims []int, precision string) (*scale.Session, error) {
-	key := model + "/" + precision
-	for _, d := range dims {
-		key += "/" + strconv.Itoa(d)
-	}
+	key := SessionSpec{Model: model, Dims: dims, Precision: precision}.key()
 	w.mu.Lock()
 	if s, ok := w.sessions[key]; ok {
 		w.mu.Unlock()
@@ -450,32 +423,11 @@ func (w *Worker) handleHealthz(rw http.ResponseWriter, r *http.Request) {
 	w.mu.Lock()
 	runs, sessions := len(w.runs), len(w.sessions)
 	w.mu.Unlock()
-	rw.Header().Set("Content-Type", "application/json")
-	rw.WriteHeader(code)
-	_ = json.NewEncoder(rw).Encode(workerHealth{
+	httpfault.WriteJSON(rw, code, workerHealth{
 		Status:        status,
 		UptimeSeconds: time.Since(w.start).Seconds(),
 		Runs:          runs,
 		MaxRuns:       w.cfg.MaxRuns,
 		Sessions:      sessions,
 	})
-}
-
-func (w *Worker) handleMetrics(rw http.ResponseWriter, r *http.Request) {
-	rw.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(rw, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(rw, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	m := w.metrics
-	counter("scale_shard_loads_total", "Shard runs loaded (including failover reloads).", m.Loads.Load())
-	counter("scale_shard_layers_total", "Model layers advanced across all shard runs.", m.Layers.Load())
-	counter("scale_shard_finishes_total", "Shard runs released by their front tier.", m.Finishes.Load())
-	counter("scale_shard_halo_rows_merged_total", "Halo feature rows merged into shard runs between layers.", m.HaloRowsMerged.Load())
-	counter("scale_shard_runs_expired_total", "Shard runs evicted after RunTTL without a call.", m.RunsExpired.Load())
-	counter("scale_shard_rejections_total", "Loads refused because the run table was full (429).", m.Rejections.Load())
-	counter("scale_shard_panics_contained_total", "Handler panics isolated into 500 responses.", m.PanicsContained.Load())
-	gauge("scale_shard_runs", "Shard runs currently loaded.", int64(w.LiveRuns()))
 }

@@ -66,6 +66,17 @@ func (s *Simulator) NewSessionPrecision(model string, dims []int, precision stri
 	}, nil
 }
 
+// ValidateSession returns the error NewSessionPrecision would refuse
+// (model, dims, precision) with — an unknown precision, an unknown model, a
+// short or non-positive dims chain — without building the session's weights.
+func ValidateSession(model string, dims []int, precision string) error {
+	if _, err := parsePrecision(precision); err != nil {
+		return err
+	}
+	_, err := gnn.NewModel(model, dims, 1)
+	return err
+}
+
 // parsePrecision normalizes a session precision: "" and "fp32" select
 // float32, "int8" the quantized tier; anything else is ErrBadConfig.
 func parsePrecision(p string) (string, error) {
@@ -106,11 +117,6 @@ func (sess *Session) Model() string { return sess.name }
 // NumLayers returns the number of message-passing layers in the session's
 // model (len(dims) − 1).
 func (sess *Session) NumLayers() int { return len(sess.model.Layers) }
-
-// LayerDims returns the model's feature-length chain: LayerDims()[li] is the
-// input width of layer li and LayerDims()[li+1] its output width. The sharded
-// serving tier sizes halo-exchange frames from it.
-func (sess *Session) LayerDims() []int { return sess.model.Dims() }
 
 // ForwardLayerCSR executes exactly one layer of the session's model over an
 // already-materialized CSR graph, returning the full |V|×OutDim output
